@@ -1090,7 +1090,7 @@ mod tests {
         let fine = "fn f(s: &PoolScope) { s.spawn(|| {}); thread::available_parallelism(); }";
         assert!(lint_source("x/runtime/y.rs", fine).is_empty());
         // And the waiver comment works like every other rule.
-        let waived = "// stats-analyzer: allow(ND007): thread-per-chunk baseline\n\
+        let waived = "// stats-analyzer: allow(ND007): audited thread creation\n\
                       fn f() { std::thread::scope(|s| {}); }";
         assert!(lint_source("x/runtime/y.rs", waived).is_empty());
     }

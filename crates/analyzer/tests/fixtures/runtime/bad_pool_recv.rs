@@ -4,10 +4,10 @@
 //! The coordinator-side receive (outside any task closure) and the
 //! waived handoff stay quiet.
 
-fn schedule(scope: &PoolScope, rx: Receiver<Verdict>) {
+fn schedule(scope: &PoolScope, rx: Receiver<Reply>) {
     scope.spawn(move || {
-        let verdict = rx.recv().expect("coordinator alive");
-        apply(verdict);
+        let reply = rx.recv().expect("coordinator alive");
+        apply(reply);
     });
     scope.spawn_urgent(move || {
         if let Ok(v) = rx.recv_timeout(BUDGET) {

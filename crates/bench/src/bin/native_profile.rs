@@ -76,8 +76,9 @@ impl WorkloadVisitor for Sweep<'_> {
         // The counters-only path must not notice the profiler: every
         // deterministic protocol counter (chunk fates, reruns, replicas,
         // copies, comparisons) must total the same with and without span
-        // capture riding along. BusyTime/IdleTime are wall-clock and
-        // vary run to run regardless, so they are not compared.
+        // capture riding along. BusyTime is wall-clock and varies run to
+        // run regardless (IdleTime is simulated-only), so neither is
+        // compared.
         let n = args.scale.inputs_for(w);
         let inputs = w.generate_inputs(n, FIGURE_SEED);
         let cfg = tuned_config(w, 28, args.scale);

@@ -1,41 +1,43 @@
-//! Native scaling sweep: pooled executor vs. the thread-per-chunk
-//! baseline on real hardware.
+//! Native scaling sweep: speedup of the pooled threaded executor over
+//! the sequential program on real hardware (the paper's Fig. 9 metric,
+//! measured natively).
 //!
-//! Runs all six paper benchmarks at several pool widths, timing both the
-//! pooled threaded runtime (`run_threaded_on`) and the pre-pool
-//! thread-per-chunk lowering (`run_threaded_per_chunk`), and emits
-//! `BENCH_native.json`. Timing uses the minimum over `--reps`
-//! repetitions — the standard low-noise estimator for a deterministic
-//! workload under scheduler jitter.
+//! Runs all six paper benchmarks, timing the sequential program
+//! (`run_sequential`) and the threaded runtime (`run_threaded_on`) at
+//! several pool widths, and emits `BENCH_native.json`. Timing uses the
+//! minimum over `--reps` repetitions — the standard low-noise estimator
+//! for a deterministic workload under scheduler jitter. Each repetition
+//! runs the sequential program and then every width once, in an order
+//! rotated per repetition, so host drift lands on all widths alike.
 //!
-//! Semantics are checked alongside performance: for every benchmark the
-//! pooled run at each width must reproduce the baseline's commit/abort
-//! decisions and outputs exactly (outputs are compared through length and
-//! the benchmark's scalar quality metric here; the test suite asserts
-//! element-wise equality with concrete types).
+//! Semantics are checked alongside performance: at every width the
+//! threaded run must reproduce the semantic layer's (`run_speculative`)
+//! commit/abort decisions and outputs exactly (outputs are compared
+//! through length and the benchmark's scalar quality metric here; the
+//! test suite asserts element-wise equality with concrete types).
 //!
-//! With `--gate`, the process exits non-zero unless, over the
-//! oversubscribed rows (chunks ≥ 4× workers):
+//! With `--gate`, the process exits non-zero unless
 //!
-//! * every row's decisions and outputs match the baseline,
-//! * at least one row has the pool strictly faster than thread-per-chunk,
-//! * the geometric-mean ratio pooled/per-chunk is ≤ 1.0 (no regression).
+//! * every row's decisions and outputs match the semantic layer, and
+//! * on hosts with at least two hardware threads, width 2 is no slower
+//!   than width 1 on every benchmark with at least two chunks: the
+//!   median over repetitions of the paired width-2 / width-1 time ratio
+//!   is at most 1 (Touati's paired design; the sweep must then include
+//!   both widths).
 //!
 //! Usage: `native_scaling [--scale F] [--reps N] [--workers 1,2,4,8]
 //! [--out PATH] [--gate]` — exits 0 on success, 1 on gate failure, 2 on
 //! bad arguments.
 
-use stats_bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
+use stats_bench::pipeline::{median, tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
-use stats_core::runtime::threaded::{run_threaded_on, run_threaded_per_chunk, ThreadedRun};
+use stats_core::runtime::sequential::run_sequential;
+use stats_core::runtime::threaded::run_threaded_on;
+use stats_core::speculation::run_speculative;
 use stats_telemetry::json::{validate, JsonObject};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 // stats-analyzer: allow(ND002): this harness measures real wall-clock scaling
 use std::time::Instant;
-
-/// A chunk count is "oversubscribed" for a pool when it exceeds the pool
-/// width by at least this factor (the regime the pool exists for).
-const OVERSUBSCRIPTION_FACTOR: usize = 4;
 
 #[derive(Clone)]
 struct Args {
@@ -49,38 +51,50 @@ struct Args {
 /// One (benchmark, pool-width) measurement.
 struct WidthRow {
     workers: usize,
-    pooled_ms: f64,
-    oversubscribed: bool,
+    /// Wall time of each timed rep, in rep order.
+    samples_ms: Vec<f64>,
+    /// Every timed run matched the semantic layer's decisions.
     decisions_match: bool,
+    /// Every timed run matched its output count and quality bits.
     outputs_match: bool,
 }
 
-/// One benchmark's sweep: the shared thread-per-chunk baseline plus a row
-/// per pool width.
+impl WidthRow {
+    fn min_ms(&self) -> f64 {
+        self.samples_ms
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// One benchmark's sweep: the sequential program's time plus a row per
+/// pool width.
 struct BenchRow {
     benchmark: &'static str,
     inputs: usize,
     chunks: usize,
-    per_chunk_ms: f64,
+    sequential_ms: f64,
     widths: Vec<WidthRow>,
 }
 
-/// `f64` equality by bit pattern: the outputs are produced by identical
-/// update sequences, so any legitimate match is exact.
-fn bits_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
+impl BenchRow {
+    /// Median over reps of the paired width-2 / width-1 time ratio, if
+    /// the sweep ran both widths.
+    fn w2_over_w1(&self) -> Option<f64> {
+        let at = |n: usize| self.widths.iter().find(|wr| wr.workers == n);
+        let (w1, w2) = (at(1)?, at(2)?);
+        let ratios = w2.samples_ms.iter().zip(&w1.samples_ms);
+        Some(median(ratios.map(|(a, b)| a / b).collect()))
+    }
 }
 
-fn min_ms<F: FnMut() -> ThreadedRun<O>, O>(reps: usize, mut run: F) -> (f64, ThreadedRun<O>) {
-    let mut best = f64::INFINITY;
-    let mut last = run(); // warm-up: caches, allocator, thread-creation paths
-    for _ in 0..reps {
-        // stats-analyzer: allow(ND002): scaling measurement harness
-        let t0 = Instant::now();
-        last = run();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, last)
+/// Wall time of one call, in milliseconds, and its result.
+fn time_ms<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    // stats-analyzer: allow(ND002): scaling measurement harness
+    let t0 = Instant::now();
+    let out = run();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
 }
 
 struct Sweep<'a> {
@@ -94,83 +108,95 @@ impl WorkloadVisitor for Sweep<'_> {
         let inputs = w.generate_inputs(n, FIGURE_SEED);
         let cfg = tuned_config(w, 28, self.args.scale); // pre-clamped to n
 
-        let (per_chunk_ms, baseline) = min_ms(self.args.reps, || {
-            run_threaded_per_chunk(w, &inputs, cfg, FIGURE_SEED)
-        });
-        let baseline_quality = w.quality(&inputs, &baseline.outputs);
+        let semantic = run_speculative(w, &inputs, cfg, FIGURE_SEED);
+        let decisions = semantic.decisions();
+        // Bit-pattern equality: the outputs come from identical update
+        // sequences, so any legitimate match is exact.
+        let quality = w.quality(&inputs, &semantic.outputs).to_bits();
 
-        let widths = self
+        let pools: Vec<WorkerPool> = self
             .args
             .workers
             .iter()
-            .map(|&workers| {
-                let pool = WorkerPool::new(workers);
-                let (pooled_ms, pooled) = min_ms(self.args.reps, || {
-                    run_threaded_on(&pool, w, &inputs, cfg, FIGURE_SEED, None)
-                });
-                WidthRow {
-                    workers,
-                    pooled_ms,
-                    oversubscribed: cfg.chunks >= OVERSUBSCRIPTION_FACTOR * workers,
-                    decisions_match: pooled.decisions == baseline.decisions,
-                    outputs_match: pooled.outputs.len() == baseline.outputs.len()
-                        && bits_eq(w.quality(&inputs, &pooled.outputs), baseline_quality),
-                }
+            .map(|&n| WorkerPool::new(n))
+            .collect();
+        let mut widths: Vec<WidthRow> = pools
+            .iter()
+            .map(|pool| WidthRow {
+                workers: pool.workers(),
+                samples_ms: Vec::with_capacity(self.args.reps),
+                decisions_match: true,
+                outputs_match: true,
             })
             .collect();
+        let mut sequential_ms = f64::INFINITY;
+        // Rep 0 warms caches, the allocator and every pool. Each rep
+        // times the sequential program and then every width once, in an
+        // order rotated per rep, so host drift during the sweep spreads
+        // over all widths instead of landing on one.
+        for rep in 0..=self.args.reps {
+            let (seq_ms, _) = time_ms(|| run_sequential(w, &inputs, FIGURE_SEED));
+            for i in (0..pools.len()).map(|i| (i + rep) % pools.len()) {
+                let (ms, run) =
+                    time_ms(|| run_threaded_on(&pools[i], w, &inputs, cfg, FIGURE_SEED, None));
+                let row = &mut widths[i];
+                row.decisions_match &= run.decisions == decisions;
+                row.outputs_match &= run.outputs.len() == semantic.outputs.len()
+                    && w.quality(&inputs, &run.outputs).to_bits() == quality;
+                if rep > 0 {
+                    row.samples_ms.push(ms);
+                }
+            }
+            if rep > 0 {
+                sequential_ms = sequential_ms.min(seq_ms);
+            }
+        }
 
         BenchRow {
             benchmark: w.name(),
             inputs: n,
             chunks: cfg.chunks,
-            per_chunk_ms,
+            sequential_ms,
             widths,
         }
     }
 }
 
-/// The gate verdict over all oversubscribed rows.
+/// The gate verdict over the whole sweep.
 struct Gate {
-    oversubscribed_rows: usize,
-    any_pooled_win: bool,
     all_match: bool,
-    geomean_ratio: f64,
+    /// Whether the host has the cores to make width 2 vs. width 1 a
+    /// meaningful comparison.
+    scaling_checked: bool,
+    /// Benchmarks (chunks ≥ 2) whose median paired width-2 / width-1
+    /// time ratio exceeds 1, or that lack either width in the sweep.
+    scaling_failures: Vec<&'static str>,
 }
 
 impl Gate {
-    fn evaluate(rows: &[BenchRow]) -> Gate {
-        let mut log_sum = 0.0f64;
-        let mut count = 0usize;
-        let mut any_win = false;
-        let mut all_match = true;
-        for row in rows {
-            for wr in &row.widths {
-                all_match &= wr.decisions_match && wr.outputs_match;
-                if !wr.oversubscribed {
-                    continue;
-                }
-                count += 1;
-                any_win |= wr.pooled_ms < row.per_chunk_ms;
-                log_sum += (wr.pooled_ms / row.per_chunk_ms).ln();
-            }
-        }
+    fn evaluate(rows: &[BenchRow], host_parallelism: usize) -> Gate {
+        let scaling_checked = host_parallelism >= 2;
+        let scaling_failures = if scaling_checked {
+            rows.iter()
+                .filter(|row| row.chunks >= 2)
+                .filter(|row| row.w2_over_w1().is_none_or(|ratio| ratio > 1.0))
+                .map(|row| row.benchmark)
+                .collect()
+        } else {
+            Vec::new()
+        };
         Gate {
-            oversubscribed_rows: count,
-            any_pooled_win: any_win,
-            all_match,
-            geomean_ratio: if count > 0 {
-                (log_sum / count as f64).exp()
-            } else {
-                f64::NAN
-            },
+            all_match: rows
+                .iter()
+                .flat_map(|row| &row.widths)
+                .all(|wr| wr.decisions_match && wr.outputs_match),
+            scaling_checked,
+            scaling_failures,
         }
     }
 
     fn pass(&self) -> bool {
-        self.all_match
-            && self.oversubscribed_rows > 0
-            && self.any_pooled_win
-            && self.geomean_ratio <= 1.0
+        self.all_match && self.scaling_failures.is_empty()
     }
 }
 
@@ -187,9 +213,8 @@ fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
             }
             let mut o = JsonObject::new();
             o.u64("workers", wr.workers as u64)
-                .f64("pooled_ms", wr.pooled_ms)
-                .f64("speedup_vs_per_chunk", row.per_chunk_ms / wr.pooled_ms)
-                .bool("oversubscribed", wr.oversubscribed)
+                .f64("parallel_ms", wr.min_ms())
+                .f64("speedup_vs_sequential", row.sequential_ms / wr.min_ms())
                 .bool("decisions_match", wr.decisions_match)
                 .bool("outputs_match", wr.outputs_match);
             widths.push_str(&o.finish());
@@ -199,18 +224,25 @@ fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
         o.str("benchmark", row.benchmark)
             .u64("inputs", row.inputs as u64)
             .u64("chunks", row.chunks as u64)
-            .f64("per_chunk_ms", row.per_chunk_ms)
+            .f64("sequential_ms", row.sequential_ms)
             .raw("workers", &widths);
+        if let Some(ratio) = row.w2_over_w1() {
+            o.f64("w2_over_w1_median", ratio);
+        }
         benches.push_str(&o.finish());
     }
     benches.push(']');
 
+    let failures: Vec<String> = gate
+        .scaling_failures
+        .iter()
+        .map(|b| format!("\"{b}\""))
+        .collect();
     let mut g = JsonObject::new();
     g.bool("enforced", args.gate)
-        .u64("oversubscribed_rows", gate.oversubscribed_rows as u64)
-        .bool("any_pooled_win", gate.any_pooled_win)
         .bool("all_match", gate.all_match)
-        .f64("geomean_pooled_over_per_chunk", gate.geomean_ratio)
+        .bool("scaling_checked", gate.scaling_checked)
+        .raw("w2_slower_than_w1", &format!("[{}]", failures.join(",")))
         .bool("pass", gate.pass());
 
     let mut o = JsonObject::new();
@@ -298,12 +330,10 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let host_parallelism = default_workers();
     println!(
-        "native_scaling: scale {}, {} reps, pool widths {:?}, host parallelism {}",
-        args.scale.0,
-        args.reps,
-        args.workers,
-        default_workers(),
+        "native_scaling: scale {}, {} reps, pool widths {:?}, host parallelism {host_parallelism}",
+        args.scale.0, args.reps, args.workers,
     );
 
     let rows: Vec<BenchRow> = BENCHMARK_NAMES
@@ -311,20 +341,15 @@ fn main() {
         .map(|name| {
             let row = dispatch(name, Sweep { args: &args });
             println!(
-                "{:<18} {:>6} inputs {:>3} chunks | per-chunk {:>9.2} ms",
-                row.benchmark, row.inputs, row.chunks, row.per_chunk_ms
+                "{:<18} {:>6} inputs {:>3} chunks | sequential {:>9.2} ms",
+                row.benchmark, row.inputs, row.chunks, row.sequential_ms
             );
             for wr in &row.widths {
                 println!(
-                    "  pool x{:<3} {:>9.2} ms  ({:.2}x vs per-chunk{}{})",
+                    "  pool x{:<3} {:>9.2} ms  ({:.2}x vs sequential{})",
                     wr.workers,
-                    wr.pooled_ms,
-                    row.per_chunk_ms / wr.pooled_ms,
-                    if wr.oversubscribed {
-                        ", oversubscribed"
-                    } else {
-                        ""
-                    },
+                    wr.min_ms(),
+                    row.sequential_ms / wr.min_ms(),
                     if wr.decisions_match && wr.outputs_match {
                         ""
                     } else {
@@ -332,11 +357,14 @@ fn main() {
                     },
                 );
             }
+            if let Some(ratio) = row.w2_over_w1() {
+                println!("  width 2 / width 1 (median of paired reps): {ratio:.3}");
+            }
             row
         })
         .collect();
 
-    let gate = Gate::evaluate(&rows);
+    let gate = Gate::evaluate(&rows, host_parallelism);
     let json = render_json(&args, &rows, &gate);
     validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
@@ -344,18 +372,23 @@ fn main() {
         std::process::exit(2);
     });
     println!(
-        "\nwrote {} | oversubscribed rows: {} | pooled/per-chunk geomean: {:.3} | parity: {}",
+        "\nwrote {} | parity: {} | width 2 vs 1: {}",
         args.out,
-        gate.oversubscribed_rows,
-        gate.geomean_ratio,
         if gate.all_match { "ok" } else { "MISMATCH" },
+        match (gate.scaling_checked, gate.scaling_failures.is_empty()) {
+            (false, _) => "not checked (single-core host)".to_string(),
+            (true, true) => "no slower on every multi-chunk benchmark".to_string(),
+            (true, false) => format!("slower (or missing) on {:?}", gate.scaling_failures),
+        },
     );
 
     if args.gate {
         if gate.pass() {
-            println!("OK: pooled executor is no slower than thread-per-chunk when oversubscribed");
+            println!(
+                "OK: threaded runs match the semantic layer and width 2 is no slower than width 1"
+            );
         } else {
-            println!("FAIL: pooled executor regressed against thread-per-chunk (or parity broke)");
+            println!("FAIL: parity broke or width 2 was slower than width 1");
             std::process::exit(1);
         }
     }

@@ -12,7 +12,8 @@
 //! Exits 0 when the overhead is within budget, 1 otherwise, 2 on bad args.
 
 use stats_bench::pipeline::{tuned_config, Scale};
-use stats_core::runtime::threaded::{run_threaded, run_threaded_observed};
+use stats_core::runtime::pool::WorkerPool;
+use stats_core::runtime::threaded::{run_threaded, run_threaded_on};
 use stats_telemetry::TelemetrySink;
 use stats_workloads::{dispatch, Workload, WorkloadVisitor};
 // stats-analyzer: allow(ND002): this harness measures real wall-clock overhead
@@ -50,7 +51,7 @@ impl WorkloadVisitor for Smoke {
             let sink = TelemetrySink::new(cfg.chunks);
             // stats-analyzer: allow(ND002): overhead measurement harness
             let t0 = Instant::now();
-            let run = run_threaded_observed(w, &inputs, cfg, SEED, Some(&sink));
+            let run = run_threaded_on(WorkerPool::shared(), w, &inputs, cfg, SEED, Some(&sink));
             observed = observed.min(t0.elapsed().as_secs_f64());
             assert_eq!(run.outputs.len(), n);
             assert!(sink.snapshot().get(stats_telemetry::Counter::ChunksStarted) > 0);

@@ -36,7 +36,7 @@
 //!   workers, which CI never guarantees.
 
 use crate::attribution::{attribute, LossBreakdown, LossCategory};
-use crate::pipeline::{tuned_config, Scale};
+use crate::pipeline::{median, tuned_config, Scale};
 use stats_core::config::Config;
 use stats_core::fault::FaultPlan;
 use stats_core::report::ChunkDecision;
@@ -284,9 +284,12 @@ pub fn profile_workload_faulted<W: Workload>(
     }
 }
 
-/// Measured profiling overhead in percent: min-over-`reps` wall time of
-/// a profiled run vs. a counters-only run on the same pool. Negative
-/// values mean the difference drowned in scheduler noise.
+/// Measured profiling overhead in percent: the median over `reps`
+/// interleaved pairs of the profiled / counters-only wall-time ratio on
+/// the same pool (Touati's paired design). Each pair runs back to back,
+/// alternating which side goes first, so host drift over the measurement
+/// lands on both sides instead of biasing one. Negative values mean the
+/// difference drowned in scheduler noise.
 pub fn profiling_overhead_pct<W: Workload>(
     w: &W,
     pool: &WorkerPool,
@@ -297,29 +300,32 @@ pub fn profiling_overhead_pct<W: Workload>(
     let n = scale.inputs_for(w);
     let inputs = w.generate_inputs(n, seed);
     let cfg = tuned_config(w, 28, scale);
-    let min_ns = |profiled: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        // One warm-up plus `reps` timed runs, minimum taken — the
-        // standard low-noise estimator for deterministic work.
-        for r in 0..=reps {
-            let sink = if profiled {
-                Some(
-                    TelemetrySink::new(cfg.chunks.max(1))
-                        .with_profiler(Profiler::new(pool.workers())),
-                )
-            } else {
-                Some(TelemetrySink::new(cfg.chunks.max(1)))
-            };
-            let run = run_threaded_on(pool, w, &inputs, cfg, seed, sink.as_ref());
-            if r > 0 {
-                best = best.min(run.elapsed.as_nanos() as f64);
-            }
-        }
-        best
+    let run_ns = |profiled: bool| -> f64 {
+        let sink = TelemetrySink::new(cfg.chunks.max(1));
+        let sink = if profiled {
+            sink.with_profiler(Profiler::new(pool.workers()))
+        } else {
+            sink
+        };
+        let run = run_threaded_on(pool, w, &inputs, cfg, seed, Some(&sink));
+        run.elapsed.as_nanos() as f64
     };
-    let bare = min_ns(false);
-    let prof = min_ns(true);
-    (prof - bare) / bare * 100.0
+    // Warm-up pair: caches, allocator, pool wake-up paths.
+    run_ns(false);
+    run_ns(true);
+    let ratios = (0..reps.max(1))
+        .map(|r| {
+            let (bare, prof) = if r % 2 == 0 {
+                let bare = run_ns(false);
+                (bare, run_ns(true))
+            } else {
+                let prof = run_ns(true);
+                (run_ns(false), prof)
+            };
+            prof / bare
+        })
+        .collect();
+    (median(ratios) - 1.0) * 100.0
 }
 
 // ---------------------------------------------------------------------------

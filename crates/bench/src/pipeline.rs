@@ -156,6 +156,21 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
+/// Median of `values` (mean of the middle two for an even count).
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -167,7 +167,7 @@ impl WorkerPool {
     /// # Lifetime rule
     ///
     /// Entry points that don't take an explicit pool (e.g.
-    /// `run_threaded_observed`) borrow this one instead of constructing a
+    /// `run_threaded`) borrow this one instead of constructing a
     /// throwaway pool per call — pool construction spawns OS threads, and
     /// paying that on every run dwarfs the work of small runs. The shared
     /// pool is never dropped: its workers park on a condvar when idle

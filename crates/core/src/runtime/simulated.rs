@@ -620,7 +620,7 @@ fn build_graph_inner<O>(
 /// would have recorded live, derived from the semantic outcome.
 ///
 /// The recording points are shared with
-/// [`crate::runtime::threaded::run_threaded_observed`]: chunk starts,
+/// [`crate::runtime::threaded::run_threaded_on`]: chunk starts,
 /// `b` breadth candidates and speculative-state hand-offs per producer,
 /// `m` replica snapshots per boundary, the candidate-major ordered
 /// comparison count (`w*(1+m) + 1 + i` on a commit won by candidate `w`
@@ -901,7 +901,7 @@ impl SimulatedRuntime {
         );
         let accounting =
             ResourceAccounting::for_config(&outcome.config, outcome.state_bytes, width);
-        let decisions: Vec<ChunkDecision> = outcome.chunks.iter().map(|c| c.decision).collect();
+        let decisions = outcome.decisions();
         Ok(RunReport {
             outputs: outcome.outputs,
             decisions,

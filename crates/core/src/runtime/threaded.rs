@@ -7,9 +7,8 @@
 //! no longer oversubscribe the OS scheduler or pay thread-creation
 //! latency on the commit path.
 //!
-//! Three structural optimizations over the naive thread-per-chunk
-//! lowering (kept as [`run_threaded_per_chunk`] for comparison — the
-//! `native_scaling` bench measures both):
+//! Three structural optimizations over a naive thread-per-chunk
+//! lowering:
 //!
 //! * **Pooled chunks** — every chunk is a task on a fixed-width pool
 //!   (default [`crate::runtime::pool::default_workers`]); tasks never
@@ -27,12 +26,15 @@
 //!   reference through the pool scope, and dead states are recycled
 //!   through a small [`StatePool`].
 //!
-//! Because all randomness flows through per-role derived streams
-//! ([`crate::rng::StreamRole`]), this executor makes *identical*
-//! commit/abort decisions and produces *identical* outputs to the
-//! simulated runtime for the same `(workload, inputs, config, seed)` —
-//! property-tested in the crate's test suite and in
-//! `tests/oversubscription.rs` across all six benchmarks.
+//! The protocol steps that decide commit/abort — candidate stream choice
+//! and warm-up, replica replay, and the candidate-major commit check —
+//! are the semantic layer's own functions ([`crate::speculation`]), and
+//! all randomness flows through per-role derived streams
+//! ([`crate::rng::StreamRole`]). This executor therefore makes
+//! *identical* commit/abort decisions and produces *identical* outputs
+//! to the simulated runtime for the same `(workload, inputs, config,
+//! seed)` by shared code; the crate's test suite and
+//! `tests/oversubscription.rs` check it across all six benchmarks.
 
 use crate::config::Config;
 use crate::dependence::StateDependence;
@@ -42,10 +44,13 @@ use crate::report::ChunkDecision;
 use crate::rng::{StatsRng, StreamRole};
 use crate::runtime::pool::{PoolScope, StatePool, WorkerPool};
 use crate::snapshot::SnapshotStrategy;
-use crate::speculation::run_segment;
+use crate::speculation::{
+    commit_check, replay_bounds, replay_replica, run_segment, warm_candidate,
+};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use stats_telemetry::clock::monotonic_ns;
 use stats_telemetry::{Category, Counter, Event, Profiler, TelemetrySink};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -97,8 +102,7 @@ pub struct ThreadedRun<O> {
     /// Wall-clock time of the parallel region (host-dependent; informative
     /// only — all figures use the deterministic simulated runtime).
     pub elapsed: Duration,
-    /// Worker parallelism the run executed with: pool width for the
-    /// pooled executor, chunk count for the thread-per-chunk baseline.
+    /// Width of the pool the run executed on.
     pub workers: usize,
 }
 
@@ -208,35 +212,62 @@ impl<S> ReplicaSet<S> {
     }
 }
 
-/// Replay one original-state replica: the trailing `k` inputs of
-/// `boundary`'s chunk, from the boundary snapshot, on its own derived
-/// stream — the same sampling of the acceptable-state space the semantic
-/// layer performs.
-fn replay_replica<W: StateDependence>(
+/// Replay one original-state replica through the shared protocol step,
+/// attributing the bytes it materialized through copy-on-write faults
+/// (like the replica copies themselves) to the chunk this boundary
+/// validates.
+fn replay_recorded<W: StateDependence>(
     ctx: RunCtx<'_, W>,
-    mut state: W::State,
+    state: W::State,
     boundary: usize,
     replica: usize,
-    replay: (usize, usize),
+    replay: Range<usize>,
 ) -> W::State {
-    let mut rng = StatsRng::derive(
+    let (state, _, materialized) = replay_replica(
+        ctx.workload,
+        ctx.inputs,
+        replay,
         ctx.master_seed,
-        StreamRole::OriginalState {
-            chunk: boundary,
-            replica,
-        },
+        boundary,
+        replica,
+        state,
     );
-    for idx in replay.0..replay.1 {
-        ctx.workload.update(&mut state, &ctx.inputs[idx], &mut rng);
-    }
-    // Bytes this replica materialized through copy-on-write faults,
-    // attributed (like the replica copies themselves) to the chunk this
-    // boundary validates.
-    let materialized = ctx.workload.take_materialized(&mut state);
     if let Some(t) = ctx.telemetry {
         t.add(boundary + 1, Counter::StateBytesCopied, materialized);
     }
     state
+}
+
+/// Receive a task's result. A task that died without delivering took its
+/// buffer with it: count the leak rather than let the free-list alias a
+/// half-written state, and re-raise naming the task.
+fn recv_or_leak<T, S: Clone>(
+    rx: &Receiver<T>,
+    states: &StatePool<S>,
+    task: &str,
+    chunk: usize,
+) -> T {
+    rx.recv().unwrap_or_else(|_| {
+        states.note_leak();
+        panic!("{task} of chunk {chunk} died before delivering its result");
+    })
+}
+
+/// Return every state of validated-away candidates and compared replicas
+/// to the free-list.
+fn recycle_dead<S: Clone, O>(
+    states: &StatePool<S>,
+    candidates: Vec<WorkerResult<S, O>>,
+    replicas: Vec<S>,
+) {
+    for r in candidates {
+        r.spec_state
+            .into_iter()
+            .chain(r.snapshot)
+            .for_each(|st| states.recycle(st));
+        states.recycle(r.final_state);
+    }
+    replicas.into_iter().for_each(|st| states.recycle(st));
 }
 
 /// Schedule the `m` replicas for `boundary` onto the pool's urgent lane,
@@ -250,7 +281,7 @@ fn schedule_replicas<'scope, 'env, W>(
     states: &'env StatePool<W::State>,
     set: &'env ReplicaSet<W::State>,
     boundary: usize,
-    replay: (usize, usize),
+    replay: Range<usize>,
     snapshot: W::State,
 ) where
     W: StateDependence + Sync,
@@ -278,6 +309,7 @@ fn schedule_replicas<'scope, 'env, W>(
                 }
             };
             span_end(prof, Category::OriginalStateGen, validated, t0);
+            let replay = replay.clone();
             scope.spawn_urgent(move || {
                 // Fault guard at task entry: the fork is untouched and no
                 // protocol counter is recorded yet, so an in-place retry
@@ -292,7 +324,7 @@ fn schedule_replicas<'scope, 'env, W>(
                 );
                 let prof = profiler_of(ctx.telemetry);
                 let t0 = span_start(prof);
-                let replayed = replay_replica(ctx, st, boundary, j, replay);
+                let replayed = replay_recorded(ctx, st, boundary, j, replay);
                 span_end(prof, Category::OriginalStateGen, validated, t0);
                 set.put(j, replayed);
             });
@@ -308,17 +340,10 @@ fn schedule_replicas<'scope, 'env, W>(
             ctx.telemetry,
         );
         let t0 = span_start(prof);
-        let replayed = replay_replica(ctx, snapshot, boundary, last, replay);
+        let replayed = replay_recorded(ctx, snapshot, boundary, last, replay);
         span_end(prof, Category::OriginalStateGen, validated, t0);
         set.put(last, replayed);
     });
-}
-
-/// The replayed index window feeding the replicas of `boundary`: the
-/// trailing `k` inputs of that chunk (clamped to the chunk itself).
-fn replay_bounds(plan: &ChunkPlan, boundary: usize, k: usize) -> (usize, usize) {
-    let range = plan.chunk(boundary);
-    (range.end.saturating_sub(k).max(range.start), range.end)
 }
 
 /// Spawn attempt `attempt` of chunk `c`'s breadth candidate `j`:
@@ -333,7 +358,7 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
     ctx: RunCtx<'env, W>,
     c: usize,
     j: usize,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     tx: Sender<WorkerResult<W::State, W::Output>>,
     attempt: usize,
 ) where
@@ -358,26 +383,23 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
                 });
             }
         }
-        let (spec_state, start_state) = if c == 0 {
-            (None, ctx.workload.fresh_state())
+        let (spec_state, start_state, mut rng) = if c == 0 {
+            let rng = StatsRng::derive(ctx.master_seed, StreamRole::Chunk(0));
+            (None, ctx.workload.fresh_state(), rng)
         } else {
             if let Some(t) = ctx.telemetry {
                 t.incr(c, Counter::SpecCandidates);
             }
-            let warm_role = if j == 0 {
-                StreamRole::AltProducer(c)
-            } else {
-                StreamRole::AltCandidate {
-                    chunk: c,
-                    candidate: j,
-                }
-            };
             let t_warm = span_start(prof);
-            let mut rng = StatsRng::derive(ctx.master_seed, warm_role);
-            let mut st = ctx.workload.fresh_state();
-            for input in &ctx.inputs[range.start - ctx.k..range.start] {
-                ctx.workload.update(&mut st, input, &mut rng);
-            }
+            let (mut st, _, run_rng) = warm_candidate(
+                ctx.workload,
+                ctx.inputs,
+                range.start,
+                ctx.k,
+                ctx.master_seed,
+                c,
+                j,
+            );
             span_end(prof, Category::AltProducer, c, t_warm);
             // Speculative-state hand-off to the coordinator
             // (Fig. 6), once per candidate.
@@ -393,17 +415,8 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
             let t_copy = span_start(prof);
             let spec = ctx.workload.snapshot_state(&mut st, ctx.strategy);
             span_end(prof, Category::StateCopy, c, t_copy);
-            (Some(spec), st)
+            (Some(spec), st, run_rng)
         };
-        let run_role = if j == 0 {
-            StreamRole::Chunk(c)
-        } else {
-            StreamRole::ChunkCandidate {
-                chunk: c,
-                candidate: j,
-            }
-        };
-        let mut rng = StatsRng::derive(ctx.master_seed, run_role);
         let t_run = span_start(prof);
         let run = run_segment(
             ctx.workload,
@@ -435,8 +448,8 @@ fn spawn_chunk_candidate<'scope, 'env, W>(
     }
 }
 
-/// Run the STATS protocol on real threads (a transient worker pool sized
-/// by [`crate::runtime::pool::default_workers`]).
+/// Run the STATS protocol on real threads, on the process-wide
+/// [`WorkerPool::shared`] pool (see its lifetime rule).
 ///
 /// # Panics
 ///
@@ -451,10 +464,20 @@ pub fn run_threaded<W>(
 where
     W: StateDependence + Sync,
 {
-    run_threaded_observed(workload, inputs, config, master_seed, None)
+    run_threaded_on(
+        WorkerPool::shared(),
+        workload,
+        inputs,
+        config,
+        master_seed,
+        None,
+    )
 }
 
-/// [`run_threaded`] with live telemetry.
+/// [`run_threaded`] on a caller-provided pool, with optional live
+/// telemetry. Reuse one pool across runs to amortize thread creation
+/// (the CLI's `--workers N` and the native benches go through here);
+/// runs leave no state behind in the pool.
 ///
 /// When `telemetry` is given, tasks record protocol counters into it
 /// lock-free while the run is in flight (chunk lifecycle, state copies,
@@ -462,38 +485,6 @@ where
 /// structured events if the sink carries an event log. Recording points
 /// match the semantic layer exactly, so a quiesced snapshot reconciles
 /// with [`crate::speculation::run_speculative`] for the same seed.
-///
-/// Executes on the process-wide [`WorkerPool::shared`] pool (see its
-/// lifetime rule); pass a pool to [`run_threaded_on`] to control width.
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a pool task
-/// panics (workload `update` panicked).
-pub fn run_threaded_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_on(
-        WorkerPool::shared(),
-        workload,
-        inputs,
-        config,
-        master_seed,
-        telemetry,
-    )
-}
-
-/// [`run_threaded_observed`] on a caller-provided pool. Reuse one pool
-/// across runs to amortize thread creation (the CLI's `--workers N` and
-/// the `native_scaling` bench go through here); runs leave no state
-/// behind in the pool.
 ///
 /// # Panics
 ///
@@ -510,91 +501,11 @@ pub fn run_threaded_on<W>(
 where
     W: StateDependence + Sync,
 {
-    config
-        .validate(inputs.len())
-        .expect("invalid configuration for input length");
-    let plan = plan_balanced(inputs.len(), config.chunks);
-    run_threaded_planned_on(pool, workload, inputs, config, plan, master_seed, telemetry)
-}
-
-/// [`run_threaded`] with an explicit chunk plan (parity with
-/// [`crate::speculation::run_speculative_planned`]).
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-pub fn run_threaded_planned<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_observed(workload, inputs, config, plan, master_seed, None)
-}
-
-/// [`run_threaded_planned`] with live telemetry (see
-/// [`run_threaded_observed`] for what gets recorded). Executes on the
-/// process-wide [`WorkerPool::shared`] pool.
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-pub fn run_threaded_planned_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_on(
-        WorkerPool::shared(),
-        workload,
-        inputs,
-        config,
-        plan,
-        master_seed,
-        telemetry,
-    )
-}
-
-/// [`run_threaded_planned_observed`] on a caller-provided pool, with no
-/// faults injected — a thin wrapper threading the empty plan through
-/// [`run_threaded_planned_faulted_on`], bit-identical to the pre-fault
-/// executor.
-///
-/// # Panics
-///
-/// Panics if the plan does not match the configuration or a pool task
-/// panics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_threaded_planned_on<W>(
-    pool: &WorkerPool,
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    plan: ChunkPlan,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_planned_faulted_on(
+    run_threaded_faulted_on(
         pool,
         workload,
         inputs,
         config,
-        plan,
         master_seed,
         &NO_FAULTS,
         telemetry,
@@ -630,7 +541,7 @@ where
         .validate(inputs.len())
         .expect("invalid configuration for input length");
     let plan = plan_balanced(inputs.len(), config.chunks);
-    run_threaded_planned_faulted_on(
+    execute(
         pool,
         workload,
         inputs,
@@ -642,16 +553,15 @@ where
     )
 }
 
-/// The pooled, pipelined executor: every other `run_threaded_*` entry
-/// point lowers to this function, non-faulted callers via the empty
-/// plan.
+/// The pooled, pipelined executor every entry point lowers to,
+/// non-faulted callers via the empty plan.
 ///
 /// # Panics
 ///
 /// Panics if the plan does not match the configuration, a pool task
 /// panics, or `faults` exhausts its retry bound.
 #[allow(clippy::too_many_arguments)]
-pub fn run_threaded_planned_faulted_on<W>(
+fn execute<W>(
     pool: &WorkerPool,
     workload: &W,
     inputs: &[W::Input],
@@ -750,16 +660,7 @@ where
             let mut cand_results = Vec::with_capacity(result_rx[c].len());
             for rx in &result_rx[c] {
                 let t_recv = span_start(prof);
-                let result = match rx.recv() {
-                    Ok(result) => result,
-                    Err(_) => {
-                        // The producer died without delivering: its buffer
-                        // is gone with it — count the leak rather than let
-                        // the free-list alias a half-written state.
-                        states.note_leak();
-                        panic!("chunk {c} candidate task died before delivering its result");
-                    }
-                };
+                let result = recv_or_leak(rx, &states, "a candidate task", c);
                 span_end(prof, Category::Sync, c, t_recv);
                 if let Some(t) = telemetry {
                     t.queue_leave();
@@ -831,13 +732,7 @@ where
             // synchronized on here.
             let pf = if let Some(xrx) = pending_rerun.take() {
                 let t_rr = span_start(prof);
-                let rerun = match xrx.recv() {
-                    Ok(rerun) => rerun,
-                    Err(_) => {
-                        states.note_leak();
-                        panic!("overlapped rerun of chunk {} died before delivering", c - 1);
-                    }
-                };
+                let rerun = recv_or_leak(&xrx, &states, "the overlapped rerun", c - 1);
                 span_end(prof, Category::Sync, c - 1, t_rr);
                 outputs_per_chunk.push(rerun.outputs);
                 rerun.final_state
@@ -849,28 +744,17 @@ where
             // retries (with backoff) until the injection clears, then the
             // comparison loop below runs — and counts — exactly once.
             fault::recovery_guard(ctx.faults, FaultSite::Transfer { chunk: c }, telemetry);
-            // Candidate-major ordered comparison: for each candidate in
-            // index order, the producer's own final state first, then the
-            // replicas — identical order (and comparison count) to the
-            // semantic layer. The first matching candidate wins.
+            // The shared commit check fixes the comparison order (and
+            // count) across runtimes; the first matching candidate wins.
             let t_cmp = span_start(prof);
-            let mut comparisons = 0u64;
-            let mut matched: Option<(usize, usize)> = None;
-            'candidates: for (j, r) in cand_results.iter().enumerate() {
-                let spec_state = r.spec_state.as_ref().expect("speculative chunk");
-                comparisons += 1;
-                if workload.states_match(spec_state, &pf) {
-                    matched = Some((j, 0));
-                    break 'candidates;
-                }
-                for (i, st) in replica_states.iter().enumerate() {
-                    comparisons += 1;
-                    if workload.states_match(spec_state, st) {
-                        matched = Some((j, i + 1));
-                        break 'candidates;
-                    }
-                }
-            }
+            let (matched, comparisons) = commit_check(
+                workload,
+                cand_results
+                    .iter()
+                    .map(|r| r.spec_state.as_ref().expect("speculative chunk")),
+                &pf,
+                &replica_states,
+            );
             span_end(prof, Category::StateComparison, c, t_cmp);
             if let Some(t) = telemetry {
                 t.add(c, Counter::StateComparisons, comparisons);
@@ -899,19 +783,8 @@ where
                 // The rejected candidates and compared replicas are dead
                 // after validation (DESIGN.md §9's lifetime rule); feed
                 // the next boundary's clones from them.
-                for r in cand_results {
-                    if let Some(st) = r.spec_state {
-                        states.recycle(st);
-                    }
-                    if let Some(st) = r.snapshot {
-                        states.recycle(st);
-                    }
-                    states.recycle(r.final_state);
-                }
+                recycle_dead(&states, cand_results, replica_states);
                 if let Some(st) = accepted.spec_state {
-                    states.recycle(st);
-                }
-                for st in replica_states {
                     states.recycle(st);
                 }
                 prev_final = Some(accepted.final_state);
@@ -942,18 +815,7 @@ where
                     t.event(&Event::ChunkAborted { chunk: c });
                 }
                 // Every candidate's speculative results are dead.
-                for r in cand_results {
-                    if let Some(st) = r.spec_state {
-                        states.recycle(st);
-                    }
-                    if let Some(st) = r.snapshot {
-                        states.recycle(st);
-                    }
-                    states.recycle(r.final_state);
-                }
-                for st in replica_states {
-                    states.recycle(st);
-                }
+                recycle_dead(&states, cand_results, replica_states);
                 let range = plan.chunk(c);
                 let (xtx, xrx) = bounded::<WorkerResult<W::State, W::Output>>(1);
                 if config.rerun_segments(range.len()) > 1 {
@@ -1120,13 +982,7 @@ where
                         }
                     });
                     let t_rr = span_start(prof);
-                    let rerun = match xrx.recv() {
-                        Ok(rerun) => rerun,
-                        Err(_) => {
-                            states.note_leak();
-                            panic!("serialized rerun of chunk {c} died before delivering");
-                        }
-                    };
+                    let rerun = recv_or_leak(&xrx, &states, "the serialized rerun", c);
                     span_end(prof, Category::Sync, c, t_rr);
                     prev_final = Some(rerun.final_state);
                     if c + 1 < chunks {
@@ -1148,16 +1004,7 @@ where
         // with; resolve it before the scope closes.
         if let Some(xrx) = pending_rerun.take() {
             let t_rr = span_start(prof);
-            let rerun = match xrx.recv() {
-                Ok(rerun) => rerun,
-                Err(_) => {
-                    states.note_leak();
-                    panic!(
-                        "overlapped rerun of chunk {} died before delivering",
-                        chunks - 1
-                    );
-                }
-            };
+            let rerun = recv_or_leak(&xrx, &states, "the overlapped rerun", chunks - 1);
             span_end(prof, Category::Sync, chunks - 1, t_rr);
             outputs_per_chunk.push(rerun.outputs);
         }
@@ -1182,400 +1029,6 @@ where
         decisions,
         elapsed: Duration::from_nanos(ns_since(start_ns)),
         workers: pool.workers(),
-    }
-}
-
-/// The pre-pool lowering: one OS thread per chunk, scoped threads per
-/// replica batch, verdict channels parking every worker on the
-/// coordinator. Kept as the measurement baseline for the `native_scaling`
-/// bench (it is what the pooled executor is compared against) — new code
-/// should use [`run_threaded`].
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a worker thread
-/// panics (workload `update` panicked).
-pub fn run_threaded_per_chunk<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    run_threaded_per_chunk_observed(workload, inputs, config, master_seed, None)
-}
-
-/// What the coordinator tells a thread-per-chunk worker after validating
-/// its speculation.
-enum Verdict<S> {
-    Commit,
-    Abort(Box<S>),
-}
-
-/// [`run_threaded_per_chunk`] with live telemetry; records the same
-/// protocol counters as the pooled executor plus worker idle time (the
-/// pooled path has no verdict wait to measure).
-///
-/// # Panics
-///
-/// Panics if `config` is invalid for `inputs.len()` or a worker thread
-/// panics (workload `update` panicked).
-pub fn run_threaded_per_chunk_observed<W>(
-    workload: &W,
-    inputs: &[W::Input],
-    config: Config,
-    master_seed: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> ThreadedRun<W::Output>
-where
-    W: StateDependence + Sync,
-{
-    config
-        .validate(inputs.len())
-        .expect("invalid configuration for input length");
-    // The baseline predates breadth speculation and is kept only as the
-    // pooled executor's measurement comparison point; it would silently
-    // diverge from the semantic layer at higher breadths.
-    assert_eq!(
-        config.spec_breadth, 1,
-        "thread-per-chunk baseline supports breadth 1 only"
-    );
-    let plan = plan_balanced(inputs.len(), config.chunks);
-    let chunks = plan.len();
-    let k = config.lookback;
-    let m = config.extra_states;
-    let strategy = config.snapshot;
-    let state_bytes = workload.state_bytes() as u64;
-    // Dead states are recycled through the same free-list the pooled
-    // executor uses, so replica clones reuse their allocations.
-    let states: StatePool<W::State> = StatePool::with_capacity(m + 2);
-    let start_ns = monotonic_ns();
-
-    // Channels: worker -> coordinator results, coordinator -> worker
-    // verdicts, worker -> coordinator rerun results.
-    let mut result_rx = Vec::with_capacity(chunks);
-    let mut verdict_tx = Vec::with_capacity(chunks);
-    let mut rerun_rx = Vec::with_capacity(chunks);
-    let mut worker_ends = Vec::with_capacity(chunks);
-    for _ in 0..chunks {
-        let (rtx, rrx) = bounded::<WorkerResult<W::State, W::Output>>(1);
-        let (vtx, vrx) = bounded::<Verdict<W::State>>(1);
-        let (xtx, xrx) = bounded::<WorkerResult<W::State, W::Output>>(1);
-        result_rx.push(rrx);
-        verdict_tx.push(vtx);
-        rerun_rx.push(xrx);
-        worker_ends.push((rtx, vrx, xtx));
-    }
-
-    let mut decisions = vec![ChunkDecision::First; chunks];
-    let mut outputs_per_chunk: Vec<Vec<W::Output>> = Vec::with_capacity(chunks);
-
-    // stats-analyzer: allow(ND007): thread-per-chunk baseline, kept as the native_scaling comparison point
-    std::thread::scope(|scope| {
-        // ---- workers ------------------------------------------------------
-        for (c, (rtx, vrx, xtx)) in worker_ends.into_iter().enumerate() {
-            let range = plan.chunk(c);
-            scope.spawn(move || {
-                let busy_start = monotonic_ns();
-                if let Some(t) = telemetry {
-                    t.incr(c, Counter::ChunksStarted);
-                    t.event(&Event::ChunkStarted {
-                        chunk: c,
-                        len: range.len(),
-                    });
-                }
-                let (spec_state, start_state) = if c == 0 {
-                    (None, workload.fresh_state())
-                } else {
-                    let mut rng = StatsRng::derive(master_seed, StreamRole::AltProducer(c));
-                    let mut st = workload.fresh_state();
-                    for input in &inputs[range.start - k..range.start] {
-                        workload.update(&mut st, input, &mut rng);
-                    }
-                    // Speculative-state hand-off to the coordinator (Fig. 6).
-                    if let Some(t) = telemetry {
-                        t.incr(c, Counter::SpecCandidates);
-                        t.incr(c, Counter::StateCopies);
-                        t.add(c, Counter::StateBytesLogical, state_bytes);
-                        t.add(
-                            c,
-                            Counter::StateBytesCopied,
-                            workload.snapshot_copy_bytes(strategy),
-                        );
-                    }
-                    let spec = workload.snapshot_state(&mut st, strategy);
-                    (Some(spec), st)
-                };
-                let mut rng = StatsRng::derive(master_seed, StreamRole::Chunk(c));
-                let run = run_segment(
-                    workload,
-                    start_state,
-                    inputs,
-                    range.clone(),
-                    k,
-                    strategy,
-                    &mut rng,
-                );
-                if let Some(t) = telemetry {
-                    t.add(c, Counter::StateBytesCopied, run.materialized);
-                    t.add(c, Counter::BusyTime, ns_since(busy_start));
-                    t.queue_enter();
-                }
-                rtx.send(WorkerResult {
-                    spec_state,
-                    outputs: run.outputs,
-                    snapshot: Some(run.snapshot),
-                    final_state: run.final_state,
-                })
-                .expect("coordinator alive");
-                let idle_start = monotonic_ns();
-                // stats-analyzer: allow(ND014): thread-per-chunk baseline uses dedicated OS threads, not pool workers
-                match vrx.recv().expect("coordinator alive") {
-                    Verdict::Commit => {
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::IdleTime, ns_since(idle_start));
-                        }
-                    }
-                    Verdict::Abort(true_state) => {
-                        let rerun_start = monotonic_ns();
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::IdleTime, ns_since(idle_start));
-                            t.incr(c, Counter::Reruns);
-                            // The baseline never overlaps recovery: every
-                            // rerun is one physical segment.
-                            t.incr(c, Counter::RerunSegments);
-                        }
-                        let mut rng = StatsRng::derive(master_seed, StreamRole::Rerun(c));
-                        let rerun = run_segment(
-                            workload,
-                            *true_state,
-                            inputs,
-                            range,
-                            k,
-                            strategy,
-                            &mut rng,
-                        );
-                        if let Some(t) = telemetry {
-                            t.add(c, Counter::StateBytesCopied, rerun.materialized);
-                            t.add(c, Counter::BusyTime, ns_since(rerun_start));
-                            t.event(&Event::RerunSegmentFinished {
-                                chunk: c,
-                                segment: 0,
-                            });
-                        }
-                        xtx.send(WorkerResult {
-                            spec_state: None,
-                            outputs: rerun.outputs,
-                            snapshot: Some(rerun.snapshot),
-                            final_state: rerun.final_state,
-                        })
-                        .expect("coordinator alive");
-                        if let Some(t) = telemetry {
-                            t.event(&Event::RerunFinished { chunk: c });
-                        }
-                    }
-                }
-            });
-        }
-
-        // ---- coordinator: sequential-order commit checks -------------------
-        let mut prev_final: Option<W::State> = None;
-        let mut prev_snapshot: Option<W::State> = None;
-        for c in 0..chunks {
-            let result = result_rx[c].recv().expect("worker alive");
-            if let Some(t) = telemetry {
-                t.queue_leave();
-            }
-            if c == 0 {
-                decisions[0] = ChunkDecision::First;
-                verdict_tx[0].send(Verdict::Commit).expect("worker alive");
-                prev_final = Some(result.final_state);
-                prev_snapshot = result.snapshot;
-                outputs_per_chunk.push(result.outputs);
-                continue;
-            }
-            let mut result = result;
-            let pf = prev_final.take().expect("previous final state");
-            let mut snapshot = prev_snapshot.take().expect("previous snapshot");
-            // Generate the m extra original states in parallel (Fig. 5).
-            let prev_range = plan.chunk(c - 1);
-            let replay_start = prev_range.end.saturating_sub(k).max(prev_range.start);
-            let mut replica_states: Vec<Option<W::State>> = Vec::new();
-            // stats-analyzer: allow(ND007): thread-per-chunk baseline, kept as the native_scaling comparison point
-            std::thread::scope(|rep_scope| {
-                let handles: Vec<_> = (0..m.saturating_sub(1))
-                    .map(|j| {
-                        // Deep clones reuse dead allocations through the
-                        // free-list; cow snapshots are O(1) forks.
-                        let snap = match strategy {
-                            SnapshotStrategy::DeepClone => states.copy_of(&snapshot),
-                            SnapshotStrategy::CopyOnWrite => {
-                                workload.snapshot_state(&mut snapshot, strategy)
-                            }
-                        };
-                        let replay = replay_start..prev_range.end;
-                        rep_scope.spawn(move || {
-                            let mut rng = StatsRng::derive(
-                                master_seed,
-                                StreamRole::OriginalState {
-                                    chunk: c - 1,
-                                    replica: j,
-                                },
-                            );
-                            let mut st = snap;
-                            for idx in replay {
-                                workload.update(&mut st, &inputs[idx], &mut rng);
-                            }
-                            st
-                        })
-                    })
-                    .collect();
-                // The final replica takes the snapshot by move — it is the
-                // last reader, so no clone is needed; the protocol still
-                // materializes m states (counted below).
-                let last = (m > 0).then(|| {
-                    let j = m - 1;
-                    let replay = replay_start..prev_range.end;
-                    rep_scope.spawn(move || {
-                        let mut rng = StatsRng::derive(
-                            master_seed,
-                            StreamRole::OriginalState {
-                                chunk: c - 1,
-                                replica: j,
-                            },
-                        );
-                        let mut st = snapshot;
-                        for idx in replay {
-                            workload.update(&mut st, &inputs[idx], &mut rng);
-                        }
-                        st
-                    })
-                });
-                for h in handles {
-                    replica_states.push(Some(h.join().expect("replica thread")));
-                }
-                if let Some(h) = last {
-                    replica_states.push(Some(h.join().expect("replica thread")));
-                }
-            });
-            // Replica fault bytes are drained before the states are
-            // compared and recycled, exactly once per replica.
-            let mut replica_fault_bytes = 0u64;
-            for st in replica_states.iter_mut().flatten() {
-                replica_fault_bytes += workload.take_materialized(st);
-            }
-            if let Some(t) = telemetry {
-                // One state materialization feeds each replica.
-                t.add(c, Counter::ReplicasValidated, m as u64);
-                t.add(c, Counter::StateCopies, m as u64);
-                t.add(c, Counter::StateBytesLogical, m as u64 * state_bytes);
-                t.add(
-                    c,
-                    Counter::StateBytesCopied,
-                    m as u64 * workload.snapshot_copy_bytes(strategy) + replica_fault_bytes,
-                );
-            }
-            // Ordered comparison: producer's own final state first, then
-            // replicas — identical order to the semantic layer.
-            let spec_state = result.spec_state.as_ref().expect("speculative chunk");
-            let mut comparisons = 1u64;
-            let mut matched: Option<usize> = workload.states_match(spec_state, &pf).then_some(0);
-            for (j, st) in replica_states.iter().flatten().enumerate() {
-                if matched.is_some() {
-                    break;
-                }
-                comparisons += 1;
-                if workload.states_match(spec_state, st) {
-                    matched = Some(j + 1);
-                }
-            }
-            if let Some(t) = telemetry {
-                t.add(c, Counter::StateComparisons, comparisons);
-                t.event(&Event::ValidationFinished {
-                    chunk: c,
-                    comparisons,
-                    matched_original: matched,
-                });
-            }
-            let spec_state = result.spec_state.take();
-            if let Some(original) = matched {
-                decisions[c] = ChunkDecision::Committed;
-                if let Some(t) = telemetry {
-                    t.incr(c, Counter::ChunksCommitted);
-                    t.event(&Event::ChunkCommitted { chunk: c });
-                    // Breadth-1 semantics: the sole candidate is the winner.
-                    t.event(&Event::CandidateCommitted {
-                        chunk: c,
-                        candidate: 0,
-                        original,
-                    });
-                }
-                verdict_tx[c].send(Verdict::Commit).expect("worker alive");
-                // The superseded original state is dead; recycle it.
-                states.recycle(pf);
-                prev_final = Some(result.final_state);
-                prev_snapshot = result.snapshot;
-                outputs_per_chunk.push(result.outputs);
-            } else {
-                decisions[c] = ChunkDecision::Aborted;
-                if let Some(t) = telemetry {
-                    // True-state transfer to the aborted worker.
-                    t.incr(c, Counter::ChunksAborted);
-                    t.incr(c, Counter::StateCopies);
-                    t.add(c, Counter::StateBytesLogical, state_bytes);
-                    t.add(
-                        c,
-                        Counter::StateBytesCopied,
-                        workload.snapshot_copy_bytes(strategy),
-                    );
-                    t.event(&Event::ChunkAborted { chunk: c });
-                }
-                verdict_tx[c]
-                    .send(Verdict::Abort(Box::new(pf)))
-                    .expect("worker alive");
-                let rerun = rerun_rx[c].recv().expect("worker alive");
-                // The rejected speculative results are dead; recycle them.
-                states.recycle(result.final_state);
-                if let Some(st) = result.snapshot {
-                    states.recycle(st);
-                }
-                prev_final = Some(rerun.final_state);
-                prev_snapshot = rerun.snapshot;
-                outputs_per_chunk.push(rerun.outputs);
-            }
-            // The compared speculative and replica states are dead after
-            // validation; feed the next boundary's clones from them (the
-            // same lifetime rule as the pooled executor, DESIGN.md §9).
-            if let Some(st) = spec_state {
-                states.recycle(st);
-            }
-            for st in replica_states.into_iter().flatten() {
-                states.recycle(st);
-            }
-        }
-    });
-
-    if let Some(t) = telemetry {
-        t.event(&Event::RunFinished {
-            committed: decisions
-                .iter()
-                .filter(|d| **d == ChunkDecision::Committed)
-                .count(),
-            aborted: decisions
-                .iter()
-                .filter(|d| **d == ChunkDecision::Aborted)
-                .count(),
-            workers: chunks,
-        });
-        t.flush();
-    }
-    ThreadedRun {
-        outputs: outputs_per_chunk.into_iter().flatten().collect(),
-        decisions,
-        elapsed: Duration::from_nanos(ns_since(start_ns)),
-        workers: chunks,
     }
 }
 
@@ -1624,8 +1077,7 @@ mod tests {
         let threaded = run_threaded(&w, &ins, cfg, 42);
         let semantic = run_speculative(&w, &ins, cfg, 42);
         assert_eq!(threaded.outputs, semantic.outputs);
-        let semantic_decisions: Vec<_> = semantic.chunks.iter().map(|c| c.decision).collect();
-        assert_eq!(threaded.decisions, semantic_decisions);
+        assert_eq!(threaded.decisions, semantic.decisions());
     }
 
     #[test]
@@ -1640,14 +1092,7 @@ mod tests {
         let semantic = run_speculative(&w, &ins, cfg, 7);
         assert!(threaded.aborts() > 0, "this setup must abort");
         assert_eq!(threaded.outputs, semantic.outputs);
-        assert_eq!(
-            threaded.decisions,
-            semantic
-                .chunks
-                .iter()
-                .map(|c| c.decision)
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(threaded.decisions, semantic.decisions());
     }
 
     #[test]
@@ -1675,16 +1120,18 @@ mod tests {
         let cfg = Config::stats_only(5, 10, 1);
         let plan = plan_weighted(200, 5, |i| 1 + (i % 3) as u64);
         let semantic = run_speculative_planned(&w, &ins, cfg, plan.clone(), 4);
-        let threaded = run_threaded_planned(&w, &ins, cfg, plan, 4);
-        assert_eq!(threaded.outputs, semantic.outputs);
-        assert_eq!(
-            threaded.decisions,
-            semantic
-                .chunks
-                .iter()
-                .map(|c| c.decision)
-                .collect::<Vec<_>>()
+        let threaded = execute(
+            WorkerPool::shared(),
+            &w,
+            &ins,
+            cfg,
+            plan,
+            4,
+            &NO_FAULTS,
+            None,
         );
+        assert_eq!(threaded.outputs, semantic.outputs);
+        assert_eq!(threaded.decisions, semantic.decisions());
     }
 
     #[test]
@@ -1703,29 +1150,7 @@ mod tests {
         assert!(pooled.aborts() > 0, "this setup must abort");
         assert_eq!(pooled.workers, 2);
         assert_eq!(pooled.outputs, semantic.outputs);
-        assert_eq!(
-            pooled.decisions,
-            semantic
-                .chunks
-                .iter()
-                .map(|c| c.decision)
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn per_chunk_baseline_matches_pooled_executor() {
-        let w = Ema {
-            decay: 0.999,
-            tolerance: 1e-6,
-        };
-        let ins = inputs(200);
-        let cfg = Config::stats_only(5, 8, 2);
-        let pooled = run_threaded(&w, &ins, cfg, 11);
-        let baseline = run_threaded_per_chunk(&w, &ins, cfg, 11);
-        assert_eq!(baseline.workers, cfg.chunks);
-        assert_eq!(pooled.outputs, baseline.outputs);
-        assert_eq!(pooled.decisions, baseline.decisions);
+        assert_eq!(pooled.decisions, semantic.decisions());
     }
 
     #[test]
@@ -1737,7 +1162,7 @@ mod tests {
         let ins = inputs(128);
         let cfg = Config::stats_only(4, 4, 2);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         let snap = sink.snapshot();
         assert!(snap.consistent, "quiesced snapshot must be consistent");
@@ -1800,41 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn per_chunk_observed_counters_match_pooled() {
-        // The baseline's counters must stay in lockstep with the pooled
-        // executor's (and therefore with the semantic layer's formulas) —
-        // including StateCopies after the final-replica move fix.
-        let w = Ema {
-            decay: 0.999,
-            tolerance: 1e-6,
-        };
-        let ins = inputs(128);
-        let cfg = Config::stats_only(4, 4, 2);
-        let pooled_sink = TelemetrySink::new(cfg.chunks);
-        let baseline_sink = TelemetrySink::new(cfg.chunks);
-        run_threaded_observed(&w, &ins, cfg, 7, Some(&pooled_sink));
-        run_threaded_per_chunk_observed(&w, &ins, cfg, 7, Some(&baseline_sink));
-        let p = pooled_sink.snapshot();
-        let b = baseline_sink.snapshot();
-        for c in [
-            Counter::ChunksStarted,
-            Counter::ChunksCommitted,
-            Counter::ChunksAborted,
-            Counter::Reruns,
-            Counter::RerunSegments,
-            Counter::SpecCandidates,
-            Counter::CandidateHits,
-            Counter::ReplicasValidated,
-            Counter::StateCopies,
-            Counter::StateComparisons,
-            Counter::StateBytesLogical,
-            Counter::StateBytesCopied,
-        ] {
-            assert_eq!(p.get(c), b.get(c), "counter {c:?} diverged");
-        }
-    }
-
-    #[test]
     fn observed_event_log_records_lifecycle() {
         use std::sync::{Arc, Mutex};
 
@@ -1858,7 +1248,7 @@ mod tests {
         let cfg = Config::stats_only(4, 4, 1);
         let buf = Buf::default();
         let sink = TelemetrySink::new(cfg.chunks).with_event_writer(Box::new(buf.clone()));
-        let run = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let run = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         assert!(run.aborts() > 0, "this setup must abort");
 
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
@@ -1923,15 +1313,7 @@ mod tests {
             let threaded = run_threaded(&w, &ins, cfg, 7);
             let semantic = run_speculative(&w, &ins, cfg, 7);
             assert_eq!(threaded.outputs, semantic.outputs, "breadth {b}");
-            assert_eq!(
-                threaded.decisions,
-                semantic
-                    .chunks
-                    .iter()
-                    .map(|c| c.decision)
-                    .collect::<Vec<_>>(),
-                "breadth {b}"
-            );
+            assert_eq!(threaded.decisions, semantic.decisions(), "breadth {b}");
         }
     }
 
@@ -1944,18 +1326,11 @@ mod tests {
         let ins = inputs(128);
         let cfg = Config::stats_only(4, 4, 2).with_overlap(true);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         assert!(threaded.aborts() > 0, "this setup must abort");
         assert_eq!(threaded.outputs, semantic.outputs);
-        assert_eq!(
-            threaded.decisions,
-            semantic
-                .chunks
-                .iter()
-                .map(|c| c.decision)
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(threaded.decisions, semantic.decisions());
         let snap = sink.snapshot();
         // Every aborted chunk's rerun split per the shared config-derived
         // segment count (two here: every chunk is longer than the
@@ -1998,7 +1373,7 @@ mod tests {
         let b = 3usize;
         let cfg = Config::stats_only(4, 4, 2).with_breadth(b);
         let sink = TelemetrySink::new(cfg.chunks);
-        let threaded = run_threaded_observed(&w, &ins, cfg, 7, Some(&sink));
+        let threaded = run_threaded_on(WorkerPool::shared(), &w, &ins, cfg, 7, Some(&sink));
         let semantic = run_speculative(&w, &ins, cfg, 7);
         assert_eq!(threaded.outputs, semantic.outputs);
         let snap = sink.snapshot();

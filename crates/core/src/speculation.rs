@@ -4,8 +4,10 @@
 //! (§II-B) and records what happened: every alternative producer's
 //! speculative state, every replica's original state, every commit/abort
 //! decision, and the cost of every piece of computation. It is pure
-//! semantics — no scheduling, no timing — and is shared by the simulated
-//! and threaded runtimes, which therefore always agree on decisions.
+//! semantics — no scheduling, no timing. The simulated runtime schedules
+//! its recorded outcome; the threaded runtime calls the same protocol
+//! steps ([`warm_candidate`], [`replay_replica`], [`commit_check`]) from
+//! its pool tasks and coordinator, so both always agree on decisions.
 
 use crate::config::Config;
 use crate::dependence::{StateDependence, UpdateCost};
@@ -108,6 +110,11 @@ pub struct SpeculationOutcome<O> {
 }
 
 impl<O> SpeculationOutcome<O> {
+    /// Per-chunk decisions, in stream order.
+    pub fn decisions(&self) -> Vec<ChunkDecision> {
+        self.chunks.iter().map(|c| c.decision).collect()
+    }
+
     /// Number of aborted chunks.
     pub fn aborts(&self) -> usize {
         self.chunks.iter().filter(|c| c.aborted()).count()
@@ -199,6 +206,124 @@ pub(crate) fn run_segment<W: StateDependence>(
         final_state: state,
         materialized,
     }
+}
+
+// ---------------------------------------------------------------------------
+// Protocol steps shared by every runtime
+// ---------------------------------------------------------------------------
+//
+// The stream roles and comparison order below decide commit/abort; both
+// `run_speculative_planned` and the threaded coordinator call these, so
+// the runtimes agree by shared code. Timing, telemetry and state
+// recycling stay with the callers.
+
+/// The replayed index window feeding the replicas of `boundary`: the
+/// trailing `k` inputs of that chunk (clamped to the chunk itself).
+pub(crate) fn replay_bounds(plan: &ChunkPlan, boundary: usize, k: usize) -> Range<usize> {
+    let range = plan.chunk(boundary);
+    range.end.saturating_sub(k).max(range.start)..range.end
+}
+
+/// Alternative producer of chunk `c`'s breadth candidate `j`: warm a
+/// fresh state up on the `k` inputs before `chunk_start` (the short
+/// memory property, §II-B) on the candidate's own derived stream.
+///
+/// Returns the warmed state, the warm-up's cost, and the stream the
+/// candidate's chunk run consumes. Candidate 0 runs on the historical
+/// `AltProducer(c)` / `Chunk(c)` streams, so breadth 1 is the historical
+/// protocol.
+pub(crate) fn warm_candidate<W: StateDependence>(
+    workload: &W,
+    inputs: &[W::Input],
+    chunk_start: usize,
+    k: usize,
+    master_seed: u64,
+    c: usize,
+    j: usize,
+) -> (W::State, UpdateCost, StatsRng) {
+    let (alt_role, run_role) = if j == 0 {
+        (StreamRole::AltProducer(c), StreamRole::Chunk(c))
+    } else {
+        (
+            StreamRole::AltCandidate {
+                chunk: c,
+                candidate: j,
+            },
+            StreamRole::ChunkCandidate {
+                chunk: c,
+                candidate: j,
+            },
+        )
+    };
+    let mut rng = StatsRng::derive(master_seed, alt_role);
+    let mut state = workload.fresh_state();
+    let mut cost = UpdateCost::default();
+    for input in &inputs[chunk_start - k..chunk_start] {
+        let (_, step) = workload.update(&mut state, input, &mut rng);
+        cost = cost + step;
+    }
+    (state, cost, StatsRng::derive(master_seed, run_role))
+}
+
+/// Original-state replica `replica` of `boundary`: replay `inputs[replay]`
+/// (the trailing `k` inputs of that chunk) from a copy of the boundary
+/// snapshot on the replica's own derived stream — one sample of the
+/// acceptable-state space.
+///
+/// Returns the replayed state, the replay's cost, and the bytes the state
+/// materialized through copy-on-write faults while replaying.
+pub(crate) fn replay_replica<W: StateDependence>(
+    workload: &W,
+    inputs: &[W::Input],
+    replay: Range<usize>,
+    master_seed: u64,
+    boundary: usize,
+    replica: usize,
+    mut state: W::State,
+) -> (W::State, UpdateCost, u64) {
+    let mut rng = StatsRng::derive(
+        master_seed,
+        StreamRole::OriginalState {
+            chunk: boundary,
+            replica,
+        },
+    );
+    let mut cost = UpdateCost::default();
+    for input in &inputs[replay] {
+        let (_, step) = workload.update(&mut state, input, &mut rng);
+        cost = cost + step;
+    }
+    let materialized = workload.take_materialized(&mut state);
+    (state, cost, materialized)
+}
+
+/// Candidate-major commit check: for each candidate start state in index
+/// order, compare it against the producer's own final state, then each
+/// replica in order; the first match wins.
+///
+/// Returns `Some((winner, original))` — `original` 0 is the producer's
+/// final state, `i` is replica `i - 1` — or `None` (abort), plus the
+/// number of `states_match` evaluations made.
+pub(crate) fn commit_check<'s, W: StateDependence>(
+    workload: &W,
+    candidates: impl IntoIterator<Item = &'s W::State>,
+    own_final: &W::State,
+    replicas: &[W::State],
+) -> (Option<(usize, usize)>, u64)
+where
+    W::State: 's,
+{
+    let mut comparisons = 0u64;
+    for (j, spec) in candidates.into_iter().enumerate() {
+        let originals = std::iter::once(own_final).chain(replicas);
+        for (i, original) in originals.enumerate() {
+            comparisons += 1;
+            if workload.states_match(spec, original) {
+                return (Some((j, i)), comparisons);
+            }
+        }
+    }
+    (None, comparisons)
 }
 
 /// Execute the STATS protocol over `inputs` and record everything.
@@ -309,41 +434,17 @@ pub fn run_speculative_planned<W: StateDependence>(
         // (each handoff is one replication event; the original is
         // retained for the boundary comparison). Candidate 0 uses the
         // historical streams, so breadth 1 is the historical protocol.
-        let alt_range = range.start - k..range.start;
         let mut bytes_logical = 0u64;
         let mut bytes_copied = 0u64;
         let mut cand_alt_costs: Vec<UpdateCost> = Vec::with_capacity(b);
         let mut cand_spec_states: Vec<W::State> = Vec::with_capacity(b);
         let mut cand_runs: Vec<SegmentRun<W::State, W::Output>> = Vec::with_capacity(b);
         for j in 0..b {
-            let alt_role = if j == 0 {
-                StreamRole::AltProducer(c)
-            } else {
-                StreamRole::AltCandidate {
-                    chunk: c,
-                    candidate: j,
-                }
-            };
-            let mut alt_rng = StatsRng::derive(master_seed, alt_role);
-            let mut alt_state = workload.fresh_state();
-            let mut alt_cost = UpdateCost::default();
-            for idx in alt_range.clone() {
-                let (_, cost) = workload.update(&mut alt_state, &inputs[idx], &mut alt_rng);
-                alt_cost = alt_cost + cost;
-            }
-            let mut spec_state = alt_state;
+            let (mut spec_state, alt_cost, mut chunk_rng) =
+                warm_candidate(workload, inputs, range.start, k, master_seed, c, j);
             bytes_logical += state_bytes;
             bytes_copied += workload.snapshot_copy_bytes(strategy);
             let spec_start = workload.snapshot_state(&mut spec_state, strategy);
-            let chunk_role = if j == 0 {
-                StreamRole::Chunk(c)
-            } else {
-                StreamRole::ChunkCandidate {
-                    chunk: c,
-                    candidate: j,
-                }
-            };
-            let mut chunk_rng = StatsRng::derive(master_seed, chunk_role);
             let spec_run = run_segment(
                 workload,
                 spec_start,
@@ -364,8 +465,7 @@ pub fn run_speculative_planned<W: StateDependence>(
         // realized snapshot, each with an independent random stream
         // ("these original states differ because of the nondeterminism of
         // the original algorithm", §II-B).
-        let prev_range = plan.chunk(c - 1);
-        let replay_start = prev_range.end.saturating_sub(k).max(prev_range.start);
+        let replay = replay_bounds(&plan, c - 1, k);
         let mut snapshot = prev_snapshot
             .take()
             .expect("previous chunk recorded a snapshot");
@@ -384,44 +484,17 @@ pub fn run_speculative_planned<W: StateDependence>(
             replica_states.push(snapshot);
         }
         let mut replica_finals: Vec<W::State> = Vec::with_capacity(m);
-        for (j, mut st) in replica_states.into_iter().enumerate() {
-            let mut rng = StatsRng::derive(
-                master_seed,
-                StreamRole::OriginalState {
-                    chunk: c - 1,
-                    replica: j,
-                },
-            );
-            let mut cost = UpdateCost::default();
-            for input in &inputs[replay_start..prev_range.end] {
-                let (_, step) = workload.update(&mut st, input, &mut rng);
-                cost = cost + step;
-            }
-            bytes_copied += workload.take_materialized(&mut st);
+        for (j, st) in replica_states.into_iter().enumerate() {
+            let (st, cost, materialized) =
+                replay_replica(workload, inputs, replay.clone(), master_seed, c - 1, j, st);
+            bytes_copied += materialized;
             replica_costs.push(cost);
             replica_finals.push(st);
         }
         chunks[c - 1].replica_costs = replica_costs;
 
-        // Candidate-major commit check: for each candidate in index
-        // order, compare its start state against the producer's own
-        // final state, then each replica in order; the first match wins.
         // The chunk commits iff *any* candidate matches an original.
-        let mut matched: Option<(usize, usize)> = None;
-        'candidates: for (j, spec) in cand_spec_states.iter().enumerate() {
-            if workload.states_match(spec, &prev_final) {
-                matched = Some((j, 0));
-                break;
-            }
-            for (i, st) in replica_finals.iter().enumerate() {
-                if workload.states_match(spec, st) {
-                    matched = Some((j, i + 1));
-                    break 'candidates;
-                }
-            }
-        }
-
-        // Decision.
+        let (matched, _) = commit_check(workload, &cand_spec_states, &prev_final, &replica_finals);
         if let Some((winner, which)) = matched {
             let losing_candidates = cand_alt_costs
                 .iter()

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use stats_core::runtime::pool::WorkerPool;
 use stats_core::runtime::threaded::{run_threaded_faulted_on, run_threaded_on};
-use stats_core::{Config, FaultPlan};
+use stats_core::{Config, FaultPlan, FaultSpec};
 use stats_telemetry::{Counter, TelemetrySink};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
@@ -252,5 +252,52 @@ fn every_benchmark_recovers_under_a_seeded_plan() {
     for name in BENCHMARK_NAMES {
         let r = dispatch(name, RecoveryIsInvisible { sc });
         r.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    }
+}
+
+/// Pieces of a `--faults COUNT@SEED` value plus the separators, signs and
+/// noise a mistyped one carries; long digit runs overflow `usize`/`u64`.
+const SPEC_PIECES: &[&str] = &[
+    "0",
+    "1",
+    "7",
+    "42",
+    "18446744073709551615",
+    "99999999999999999999",
+    "@",
+    "@",
+    "-",
+    "+",
+    " ",
+    ".",
+    "e3",
+    "x",
+    "_",
+    "λ",
+    "\u{0}",
+    "😀",
+];
+
+/// Arbitrary strings assembled from [`SPEC_PIECES`].
+fn spec_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<usize>(), 0..12).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&i| SPEC_PIECES[i % SPEC_PIECES.len()])
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn fault_spec_parse_never_panics_and_accepts_only_positive_counts(s in spec_string()) {
+        // The property is the call returning at all; a panic fails it.
+        if let Ok(spec) = FaultSpec::parse(&s) {
+            prop_assert!(spec.count > 0, "{:?} parsed to a zero count", s);
+            let canonical = format!("{}@{}", spec.count, spec.seed);
+            prop_assert_eq!(FaultSpec::parse(&canonical), Ok(spec));
+        }
     }
 }

@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A protocol counter tracked per worker.
 ///
-/// Time-valued counters (`BusyTime`, `IdleTime`) are in nanoseconds on
-/// the threaded runtime and in simulated cycles on the simulated runtime;
-/// everything else is a plain event count. Both runtimes record the same
+/// `BusyTime` is in nanoseconds on the threaded runtime and in simulated
+/// cycles on the simulated runtime; `IdleTime` is recorded only by the
+/// simulated runtime, in cycles (pooled threaded tasks never wait on the
+/// protocol); everything else is a plain event count. Both runtimes record the same
 /// protocol points, so counters from a threaded run reconcile with the
 /// semantic layer and counters from a simulated run reconcile with its
 /// post-mortem trace.
@@ -50,8 +51,8 @@ pub enum Counter {
     StateBytesCopied,
     /// Worker time spent computing (ns on threads, cycles simulated).
     BusyTime,
-    /// Worker time spent waiting on the protocol (ns on threads, cycles
-    /// simulated).
+    /// Worker time spent waiting on the protocol, in cycles; recorded
+    /// only by the simulated runtime.
     IdleTime,
     /// Fault-plan injections that fired (one per failed attempt).
     FaultsInjected,

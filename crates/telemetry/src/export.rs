@@ -86,7 +86,7 @@ fn counter_help(counter: Counter) -> &'static str {
         Counter::StateBytesLogical => "Bytes logically replicated (state size x copy events)",
         Counter::StateBytesCopied => "Bytes physically copied by snapshots and COW faults",
         Counter::BusyTime => "Worker compute time (ns threaded, cycles simulated)",
-        Counter::IdleTime => "Worker protocol-wait time (ns threaded, cycles simulated)",
+        Counter::IdleTime => "Worker protocol-wait time (cycles, simulated runtime only)",
         Counter::FaultsInjected => "Fault-plan injections that fired (one per failed attempt)",
         Counter::RetriesScheduled => "Retries scheduled by the fault-recovery guards",
         Counter::WorkersLost => "Pool workers doomed by injected worker-death faults",

@@ -105,3 +105,43 @@ proptest! {
         prop_assert_eq!(per_worker_sum, snap.get(Counter::StateComparisons));
     }
 }
+
+/// JSON fragments — structural tokens, literals (whole and truncated),
+/// number pieces, string escapes and non-ASCII code points — that the
+/// validator's hand-rolled recursive descent must reject or accept
+/// without panicking.
+const JSON_TOKENS: &[&str] = &[
+    "{", "}", "[", "]", "\"", ":", ",", " ", "\n", "\\", "\\u", "\\u00e9", "\\x", "true", "tru",
+    "false", "null", "nul", "-", "0", "12", ".", "5", "e", "E+", "-3", "\"k\"", "\u{1}", "λ",
+    "\u{7f}", "😀",
+];
+
+/// Arbitrary strings assembled from [`JSON_TOKENS`].
+fn json_ish_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<usize>(), 0..48).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&i| JSON_TOKENS[i % JSON_TOKENS.len()])
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn validator_never_panics_and_accepts_compositionally(s in json_ish_string()) {
+        // The property is the call returning at all; a panic fails it.
+        if validate(&s).is_ok() {
+            let in_array = format!("[{s}]");
+            let in_object = format!("{{\"k\":{s}}}");
+            prop_assert!(validate(&in_array).is_ok(), "array broke {:?}", s);
+            prop_assert!(validate(&in_object).is_ok(), "object broke {:?}", s);
+        }
+    }
+
+    #[test]
+    fn validator_never_panics_on_arbitrary_strings(s in hostile_string()) {
+        let _ = validate(&s);
+    }
+}

@@ -5,12 +5,12 @@
 //! results. These tests drive 64 chunks through a 4-worker pool — 16
 //! chunks per worker — and require bit-for-bit agreement with the
 //! semantic layer on every commit/abort decision AND every output, for
-//! all six paper benchmarks. The thread-per-chunk baseline is held to the
-//! same bar, and a shared pool must carry no state between runs.
+//! all six paper benchmarks. A shared pool must carry no state between
+//! runs.
 
 use stats_workbench::core::runtime::pool::WorkerPool;
-use stats_workbench::core::runtime::threaded::{run_threaded_on, run_threaded_per_chunk};
-use stats_workbench::core::{run_speculative, ChunkDecision, Config};
+use stats_workbench::core::runtime::threaded::run_threaded_on;
+use stats_workbench::core::{run_speculative, Config};
 use stats_workbench::workloads::Workload;
 use stats_workbench::workloads::{
     bodytrack::BodyTrack, facedet_and_track::FaceDetAndTrack, facetrack::FaceTrack,
@@ -26,8 +26,8 @@ fn oversubscribed_config() -> Config {
     Config::stats_only(64, 4, 2)
 }
 
-/// Run one workload through the semantic layer, the pooled executor, and
-/// the thread-per-chunk baseline; all three must agree exactly.
+/// Run one workload through the semantic layer and the pooled executor;
+/// both must agree exactly.
 fn assert_parity<W>(pool: &WorkerPool, w: &W, seed: u64)
 where
     W: Workload + Sync,
@@ -44,7 +44,7 @@ where
     );
 
     let semantic = run_speculative(w, &inputs, cfg, seed);
-    let reference: Vec<ChunkDecision> = semantic.chunks.iter().map(|c| c.decision).collect();
+    let reference = semantic.decisions();
 
     let pooled = run_threaded_on(pool, w, &inputs, cfg, seed, None);
     assert_eq!(
@@ -60,20 +60,6 @@ where
         w.name()
     );
     assert_eq!(pooled.workers, pool.workers());
-
-    let per_chunk = run_threaded_per_chunk(w, &inputs, cfg, seed);
-    assert_eq!(
-        per_chunk.decisions,
-        reference,
-        "{}: per-chunk decisions",
-        w.name()
-    );
-    assert_eq!(
-        per_chunk.outputs,
-        semantic.outputs,
-        "{}: per-chunk outputs",
-        w.name()
-    );
 }
 
 #[test]
@@ -118,7 +104,7 @@ fn single_worker_pool_still_drains_oversubscribed_plans() {
 #[test]
 fn state_pool_high_water_stays_within_capacity() {
     use stats_workbench::core::runtime::pool::StatePool;
-    // Both threaded paths recycle dead snapshots through a StatePool
+    // The threaded executor recycles dead snapshots through a StatePool
     // capped at m + 2; the watermark proves recycling actually happens
     // without the free-list growing past its bound.
     let pool: StatePool<Vec<u64>> = StatePool::with_capacity(3);
@@ -167,7 +153,7 @@ fn worker_killed_mid_run_degrades_pool_without_touching_results() {
     .expect("valid plan");
 
     let semantic = run_speculative(&w, &inputs, cfg, SEED);
-    let reference: Vec<ChunkDecision> = semantic.chunks.iter().map(|c| c.decision).collect();
+    let reference = semantic.decisions();
 
     let pool = WorkerPool::new(4);
     let faulted = run_threaded_faulted_on(&pool, &w, &inputs, cfg, SEED, &plan, None);
@@ -209,7 +195,7 @@ fn seeded_chaos_survives_oversubscription() {
     assert!(plan.is_recoverable());
 
     let semantic = run_speculative(&w, &inputs, cfg, SEED);
-    let reference: Vec<ChunkDecision> = semantic.chunks.iter().map(|c| c.decision).collect();
+    let reference = semantic.decisions();
 
     let pool = WorkerPool::new(4);
     let faulted = run_threaded_faulted_on(&pool, &w, &inputs, cfg, SEED, &plan, None);
@@ -241,8 +227,8 @@ fn cow_snapshots_are_bit_identical_to_deep_on_every_benchmark() {
 
         let deep = run_speculative(w, &inputs, deep_cfg, SEED);
         let cow = run_speculative(w, &inputs, cow_cfg, SEED);
-        let deep_decisions: Vec<ChunkDecision> = deep.chunks.iter().map(|c| c.decision).collect();
-        let cow_decisions: Vec<ChunkDecision> = cow.chunks.iter().map(|c| c.decision).collect();
+        let deep_decisions = deep.decisions();
+        let cow_decisions = cow.decisions();
         assert_eq!(
             deep_decisions,
             cow_decisions,

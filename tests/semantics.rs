@@ -72,7 +72,7 @@ proptest! {
         let semantic = run_speculative(&w, &inputs, cfg, seed);
         let threaded = run_threaded(&w, &inputs, cfg, seed);
         prop_assert_eq!(&threaded.outputs, &semantic.outputs);
-        let decisions: Vec<_> = semantic.chunks.iter().map(|c| c.decision).collect();
+        let decisions = semantic.decisions();
         prop_assert_eq!(threaded.decisions, decisions);
     }
 
