@@ -17,17 +17,18 @@
 //! * **coverage** — all six injection kinds executed somewhere in the
 //!   sweep (a kind that never fires is a kind that was never tested).
 //!
-//! Usage: `chaos [--scale F] [--plans N] [--injections N] [--out PATH]
-//! [--gate]` — exits 0 on success, 1 on gate failure, 2 on bad
-//! arguments.
+//! Arguments, exit codes and the report envelope come from
+//! [`stats_bench::harness`].
 
 use stats_bench::chaos::{ChaosGate, ChaosRow, ChaosSweep, ALL_KINDS, WIDTHS};
-use stats_bench::pipeline::{Scale, FIGURE_SEED};
+use stats_bench::harness::{self, json_array};
+use stats_bench::pipeline::Scale;
 use stats_core::runtime::pool::default_workers;
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_workloads::{dispatch, BENCHMARK_NAMES};
 
-#[derive(Clone)]
+const USAGE: &str = "usage: chaos [--scale F] [--plans N] [--injections N] [--out PATH] [--gate]";
+
 struct Args {
     scale: Scale,
     plans: usize,
@@ -36,27 +37,14 @@ struct Args {
     gate: bool,
 }
 
+/// A JSON array of string literals.
+fn names<'a>(items: impl IntoIterator<Item = &'a &'static str>) -> String {
+    json_array(items.into_iter().map(|k| format!("\"{k}\"")))
+}
+
 fn render_json(args: &Args, rows: &[ChaosRow], gate: &ChaosGate) -> String {
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
-        let mut cells = String::from("[");
-        for (j, c) in row.cells.iter().enumerate() {
-            if j > 0 {
-                cells.push(',');
-            }
-            let mut kinds = String::from("[");
-            for (k, kind) in c.kinds_executed.iter().enumerate() {
-                if k > 0 {
-                    kinds.push(',');
-                }
-                kinds.push('"');
-                kinds.push_str(kind);
-                kinds.push('"');
-            }
-            kinds.push(']');
+    let benches = json_array(rows.iter().map(|row| {
+        let cells = json_array(row.cells.iter().map(|c| {
             let mut o = JsonObject::new();
             o.u64("width", c.width as u64)
                 .u64("plan_seed", c.plan_seed)
@@ -71,57 +59,28 @@ fn render_json(args: &Args, rows: &[ChaosRow], gate: &ChaosGate) -> String {
                 .bool("sim_reconciled", c.sim_reconciled)
                 .bool("totals_exact", c.totals_exact)
                 .bool("retries_bounded", c.retries_bounded)
-                .raw("kinds_executed", &kinds);
-            cells.push_str(&o.finish());
-        }
-        cells.push(']');
+                .raw("kinds_executed", &names(&c.kinds_executed));
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.str("benchmark", &row.name).raw("cells", &cells);
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let mut widths = String::from("[");
-    for (i, wd) in WIDTHS.iter().enumerate() {
-        if i > 0 {
-            widths.push(',');
-        }
-        widths.push_str(&wd.to_string());
-    }
-    widths.push(']');
-
-    let mut covered = String::from("[");
-    for (i, kind) in gate.kinds_covered.iter().enumerate() {
-        if i > 0 {
-            covered.push(',');
-        }
-        covered.push('"');
-        covered.push_str(kind);
-        covered.push('"');
-    }
-    covered.push(']');
-
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .bool("all_ok", gate.all_ok)
-        .raw("kinds_covered", &covered)
-        .bool("full_coverage", gate.full_coverage)
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "chaos")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("plans_per_width", args.plans as u64)
-        .u64("injections_per_plan", args.injections as u64)
-        .raw("widths", &widths)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+        o.finish()
+    }));
+    let verdict = |g: &mut JsonObject| {
+        g.bool("all_ok", gate.all_ok)
+            .raw("kinds_covered", &names(&gate.kinds_covered))
+            .bool("full_coverage", gate.full_coverage);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("plans_per_width", args.plans as u64)
+            .u64("injections_per_plan", args.injections as u64)
+            .raw("widths", &json_array(WIDTHS.iter().map(usize::to_string)));
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("chaos", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.05),
         plans: 3,
@@ -129,62 +88,22 @@ fn parse_args() -> Args {
         out: "BENCH_chaos.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = "usage: chaos [--scale F] [--plans N] [--injections N] [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--plans" => {
-                args.plans = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --plans expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--injections" => {
-                args.injections = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --injections expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--plans" => args.plans = v.count()?,
+            "--injections" => args.injections = v.count()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0) || args.plans == 0 || args.injections == 0 {
-        eprintln!("error: --scale in (0,1]; --plans and --injections positive\n{usage}");
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     println!(
         "chaos: scale {}, {} plans x {} injections per width, widths {:?}, host parallelism {}",
         args.scale.0,
@@ -220,12 +139,7 @@ fn main() {
         .collect();
 
     let gate = ChaosGate::evaluate(&rows);
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | cells {} | kinds covered {}/{}",
         args.out,
@@ -238,12 +152,10 @@ fn main() {
         ALL_KINDS.len(),
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!("OK: every injected fault recovered without a trace in the results");
-        } else {
-            println!("FAIL: chaos gate failed");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: every injected fault recovered without a trace in the results",
+        "FAIL: chaos gate failed",
+    );
 }

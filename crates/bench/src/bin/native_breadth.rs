@@ -29,19 +29,22 @@
 //!   only enforced when `host_parallelism >= 2 x chunks` (the JSON
 //!   records whether it was).
 //!
-//! Usage: `native_breadth [--scale F] [--reps N] [--tolerance PCT] \
-//! [--out PATH] [--gate]` — exits 0 on success, 1 on gate failure, 2 on
-//! bad arguments.
+//! Arguments, exit codes and the report envelope come from
+//! [`stats_bench::harness`].
 
+use stats_bench::harness::{self, estimate_json, json_array, Fingerprint};
 use stats_bench::native_attribution::{profile_workload_configured, ProfileReport};
 use stats_bench::pipeline::{geomean, tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::simulated::SimulatedRuntime;
 use stats_core::runtime::threaded::run_threaded_on;
 use stats_core::{ChunkDecision, Config};
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_telemetry::{Counter, Estimate, TelemetrySink, WallLoss};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
+
+const USAGE: &str = "usage: native_breadth [--scale F] [--reps N] [--tolerance PCT] \
+                     [--out PATH] [--gate]";
 
 /// Breadths swept per benchmark. 1 is the head-identical baseline; the
 /// profiler bracket compares 1 against 2.
@@ -58,7 +61,6 @@ const SEEDS: [u64; 2] = [FIGURE_SEED, FIGURE_SEED + 1];
 /// cannot rescue it — it stays a sweep row but not a gated one.
 const ABORT_HEAVY: [&str; 2] = ["bodytrack", "facetrack"];
 
-#[derive(Clone)]
 struct Args {
     scale: Scale,
     reps: usize,
@@ -113,14 +115,10 @@ fn mispec_share(r: &ProfileReport) -> f64 {
         .map_or(0.0, |(_, s)| *s)
 }
 
-struct Sweep<'a> {
-    args: &'a Args,
-}
-
-impl WorkloadVisitor for Sweep<'_> {
+impl WorkloadVisitor for &Args {
     type Output = BenchRow;
     fn visit<W: Workload>(self, w: &W) -> BenchRow {
-        let args = self.args;
+        let args = self;
         let n = args.scale.inputs_for(w);
         let base = tuned_config(w, 28, args.scale);
         let width = base.chunks * 2;
@@ -152,9 +150,8 @@ impl WorkloadVisitor for Sweep<'_> {
                 let sim = rt
                     .run(w.name(), w, &inputs, cfg, w.inner_parallelism(), seed)
                     .expect("valid configuration");
-                let quality = w.quality(&inputs, &first.outputs).to_bits();
-                cell.sim_parity &= first.decisions == sim.decisions
-                    && quality == w.quality(&inputs, &sim.outputs).to_bits();
+                let got = Fingerprint::of(w, &inputs, &first.decisions, &first.outputs);
+                cell.sim_parity &= got == Fingerprint::of(w, &inputs, &sim.decisions, &sim.outputs);
                 cell.min_ns += min_ns;
                 cell.aborts += first
                     .decisions
@@ -164,7 +161,7 @@ impl WorkloadVisitor for Sweep<'_> {
                 cell.candidates += snap.get(Counter::SpecCandidates);
                 cell.hits += snap.get(Counter::CandidateHits);
                 cell.segments += snap.get(Counter::RerunSegments);
-                record.push((first.decisions, quality));
+                record.push(got);
             }
             (cell, record)
         };
@@ -287,85 +284,64 @@ impl Gate {
 }
 
 fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
-    let est = |e: &Estimate| format!("{{\"mean\":{:.6},\"ci\":{:.6}}}", e.mean, e.half_width);
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
-        let mut cells = String::from("[");
-        for (j, p) in row.pairs.iter().enumerate() {
-            if j > 0 {
-                cells.push(',');
-            }
-            let cell = |c: &Cell| {
-                let mut o = JsonObject::new();
-                o.u64("min_ns", c.min_ns)
-                    .u64("aborts", c.aborts)
-                    .u64("candidates", c.candidates)
-                    .u64("hits", c.hits)
-                    .u64("segments", c.segments)
-                    .bool("sim_parity", c.sim_parity);
-                o.finish()
-            };
+    let cell = |c: &Cell| {
+        let mut o = JsonObject::new();
+        o.u64("min_ns", c.min_ns)
+            .u64("aborts", c.aborts)
+            .u64("candidates", c.candidates)
+            .u64("hits", c.hits)
+            .u64("segments", c.segments)
+            .bool("sim_parity", c.sim_parity);
+        o.finish()
+    };
+    let benches = json_array(rows.iter().map(|row| {
+        let cells = json_array(row.pairs.iter().map(|p| {
             let mut o = JsonObject::new();
             o.u64("breadth", p.breadth as u64)
                 .raw("serial", &cell(&p.serial))
                 .raw("overlapped", &cell(&p.overlapped))
                 .bool("overlap_parity", p.overlap_parity)
                 .bool("counters_ok", p.counters_ok);
-            cells.push_str(&o.finish());
-        }
-        cells.push(']');
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.str("benchmark", &row.name)
             .bool("abort_heavy", row.is_abort_heavy)
             .u64("width", row.width as u64)
             .raw("breadths", &cells)
-            .raw("narrow_measured", &est(&row.narrow_measured))
-            .raw("wide_measured", &est(&row.wide_measured))
-            .raw("mispec_free_narrow", &est(&row.mispec_free_narrow))
+            .raw("narrow_measured", &estimate_json(&row.narrow_measured))
+            .raw("wide_measured", &estimate_json(&row.wide_measured))
+            .raw(
+                "mispec_free_narrow",
+                &estimate_json(&row.mispec_free_narrow),
+            )
             .f64("narrow_mispec_share", row.narrow_mispec_share)
             .f64("wide_mispec_share", row.wide_mispec_share);
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let mut breadths = String::from("[");
-    for (i, b) in BREADTHS.iter().enumerate() {
-        if i > 0 {
-            breadths.push(',');
-        }
-        breadths.push_str(&b.to_string());
-    }
-    breadths.push(']');
-
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .bool("all_parity", gate.all_parity)
-        .bool("counters_exact", gate.counters_exact)
-        .bool("rescues", gate.rescues)
-        .f64("geomean_overlap_ratio", gate.geomean_overlap_ratio)
-        .bool("ceilings_hold", gate.ceilings_hold)
-        .bool("floor_enforced", gate.floor_enforced)
-        .bool("floors_hold", gate.floors_hold)
-        .f64("tolerance_pct", gate.tolerance_pct)
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "native_breadth")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("reps", args.reps as u64)
-        .u64("seeds", SEEDS.len() as u64)
-        .raw("breadths", &breadths)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+        o.finish()
+    }));
+    let verdict = |g: &mut JsonObject| {
+        g.bool("all_parity", gate.all_parity)
+            .bool("counters_exact", gate.counters_exact)
+            .bool("rescues", gate.rescues)
+            .f64("geomean_overlap_ratio", gate.geomean_overlap_ratio)
+            .bool("ceilings_hold", gate.ceilings_hold)
+            .bool("floor_enforced", gate.floor_enforced)
+            .bool("floors_hold", gate.floors_hold)
+            .f64("tolerance_pct", gate.tolerance_pct);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("reps", args.reps as u64)
+            .u64("seeds", SEEDS.len() as u64)
+            .raw(
+                "breadths",
+                &json_array(BREADTHS.iter().map(usize::to_string)),
+            );
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("native_breadth", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.08),
         reps: 2,
@@ -373,68 +349,22 @@ fn parse_args() -> Args {
         out: "BENCH_breadth.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = "usage: native_breadth [--scale F] [--reps N] [--tolerance PCT] \
-                 [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--reps" => {
-                args.reps = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --reps expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--tolerance" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --tolerance expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.tolerance = v;
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--reps" => args.reps = v.count()?,
+            "--tolerance" => args.tolerance = v.positive()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0)
-        || args.reps == 0
-        || args.tolerance <= 0.0
-        || args.tolerance.is_nan()
-    {
-        eprintln!("error: --scale in (0,1]; --reps and --tolerance positive\n{usage}");
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     println!(
         "native_breadth: scale {}, {} reps x {} seeds, breadths {:?}, host parallelism {}",
         args.scale.0,
@@ -447,7 +377,7 @@ fn main() {
     let rows: Vec<BenchRow> = BENCHMARK_NAMES
         .iter()
         .map(|name| {
-            let row = dispatch(name, Sweep { args: &args });
+            let row = dispatch(name, &args);
             for p in &row.pairs {
                 println!(
                     "{:<18} b{} aborts {} -> hits {} | segments {} -> {} | overlap x{:.3}{}{}",
@@ -482,12 +412,7 @@ fn main() {
         .collect();
 
     let gate = Gate::evaluate(&rows, args.tolerance);
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | parity {} | counters {} | rescues {} | overlap x{:.3} | \
          ceilings {} | floors {}",
@@ -506,12 +431,10 @@ fn main() {
         },
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!("OK: breadth trades bounded extra work for fewer aborts, never results");
-        } else {
-            println!("FAIL: speculation-breadth gate failed");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: breadth trades bounded extra work for fewer aborts, never results",
+        "FAIL: speculation-breadth gate failed",
+    );
 }

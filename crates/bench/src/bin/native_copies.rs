@@ -25,18 +25,21 @@
 //!   (wall-clock speedups on a time-shared host carry scheduler noise
 //!   the tolerance absorbs).
 //!
-//! Usage: `native_copies [--scale F] [--reps N] [--widths A,B] \
-//! [--tolerance PCT] [--out PATH] [--gate]` — exits 0 on success, 1 on
-//! gate failure, 2 on bad arguments.
+//! Arguments, exit codes and the report envelope come from
+//! [`stats_bench::harness`].
 
+use stats_bench::harness::{self, estimate_json, json_array, Fingerprint};
 use stats_bench::native_attribution::profile_workload_configured;
 use stats_bench::pipeline::{geomean, tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::threaded::run_threaded_on;
 use stats_core::{Config, SnapshotStrategy};
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_telemetry::{Counter, Estimate, TelemetrySink};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
+
+const USAGE: &str = "usage: native_copies [--scale F] [--reps N] [--widths A,B] \
+                     [--tolerance PCT] [--out PATH] [--gate]";
 
 /// Benchmarks whose dominant state is a particle cloud: COW forks share
 /// whole generations structurally, so physical copies must collapse.
@@ -44,7 +47,6 @@ use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 /// post-fork write, which the byte gate deliberately does not reward.
 const TRACKERS: [&str; 3] = ["bodytrack", "facetrack", "facedet-and-track"];
 
-#[derive(Clone)]
 struct Args {
     scale: Scale,
     reps: usize,
@@ -82,14 +84,10 @@ struct BenchRow {
     is_tracker: bool,
 }
 
-struct Sweep<'a> {
-    args: &'a Args,
-}
-
-impl WorkloadVisitor for Sweep<'_> {
+impl WorkloadVisitor for &Args {
     type Output = BenchRow;
     fn visit<W: Workload>(self, w: &W) -> BenchRow {
-        let args = self.args;
+        let args = self;
         let n = args.scale.inputs_for(w);
         let inputs = w.generate_inputs(n, FIGURE_SEED);
         let deep_cfg = tuned_config(w, 28, args.scale);
@@ -113,19 +111,14 @@ impl WorkloadVisitor for Sweep<'_> {
                     bytes_logical: snap.get(Counter::StateBytesLogical),
                     bytes_copied: snap.get(Counter::StateBytesCopied),
                 };
-                (cell, first)
+                (
+                    cell,
+                    Fingerprint::of(w, &inputs, &first.decisions, &first.outputs),
+                )
             };
             let (deep, deep_run) = measure(deep_cfg);
             let (cow, cow_run) = measure(cow_cfg);
-            // Outputs lack a PartialEq bound at this level; the quality
-            // score hashes every output bit, so equal decisions + equal
-            // quality bits is output parity in practice (the integration
-            // suite checks Output equality directly where the type allows).
-            let parity = deep_run.decisions == cow_run.decisions
-                && deep_run.outputs.len() == cow_run.outputs.len()
-                && w.quality(&inputs, &deep_run.outputs).to_bits()
-                    == w.quality(&inputs, &cow_run.outputs).to_bits()
-                && deep.bytes_logical == cow.bytes_logical;
+            let parity = deep_run == cow_run && deep.bytes_logical == cow.bytes_logical;
             pairs.push(WidthPair {
                 width,
                 deep,
@@ -202,74 +195,49 @@ impl Gate {
 }
 
 fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
-    let est = |e: &Estimate| format!("{{\"mean\":{:.6},\"ci\":{:.6}}}", e.mean, e.half_width);
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
-        let mut widths = String::from("[");
-        for (j, p) in row.pairs.iter().enumerate() {
-            if j > 0 {
-                widths.push(',');
-            }
-            let cell = |c: &Cell| {
-                let mut o = JsonObject::new();
-                o.u64("min_ns", c.min_ns)
-                    .u64("bytes_logical", c.bytes_logical)
-                    .u64("bytes_copied", c.bytes_copied);
-                o.finish()
-            };
+    let cell = |c: &Cell| {
+        let mut o = JsonObject::new();
+        o.u64("min_ns", c.min_ns)
+            .u64("bytes_logical", c.bytes_logical)
+            .u64("bytes_copied", c.bytes_copied);
+        o.finish()
+    };
+    let benches = json_array(rows.iter().map(|row| {
+        let widths = json_array(row.pairs.iter().map(|p| {
             let mut o = JsonObject::new();
             o.u64("width", p.width as u64)
                 .raw("deep", &cell(&p.deep))
                 .raw("cow", &cell(&p.cow))
                 .bool("parity", p.parity);
-            widths.push_str(&o.finish());
-        }
-        widths.push(']');
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.str("benchmark", &row.name)
             .bool("tracker", row.is_tracker)
             .raw("widths", &widths)
-            .raw("deep_measured", &est(&row.deep_measured))
-            .raw("cow_measured", &est(&row.cow_measured))
-            .raw("copies_free_deep", &est(&row.copies_free_deep));
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let mut widths = String::from("[");
-    for (i, wd) in args.widths.iter().enumerate() {
-        if i > 0 {
-            widths.push(',');
-        }
-        widths.push_str(&wd.to_string());
-    }
-    widths.push(']');
-
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .bool("all_parity", gate.all_parity)
-        .bool("trackers_collapse", gate.trackers_collapse)
-        .f64("geomean_time_ratio", gate.geomean_time_ratio)
-        .bool("brackets_hold", gate.brackets_hold)
-        .f64("tolerance_pct", gate.tolerance_pct)
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "native_copies")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("reps", args.reps as u64)
-        .raw("widths", &widths)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+            .raw("deep_measured", &estimate_json(&row.deep_measured))
+            .raw("cow_measured", &estimate_json(&row.cow_measured))
+            .raw("copies_free_deep", &estimate_json(&row.copies_free_deep));
+        o.finish()
+    }));
+    let verdict = |g: &mut JsonObject| {
+        g.bool("all_parity", gate.all_parity)
+            .bool("trackers_collapse", gate.trackers_collapse)
+            .f64("geomean_time_ratio", gate.geomean_time_ratio)
+            .bool("brackets_hold", gate.brackets_hold)
+            .f64("tolerance_pct", gate.tolerance_pct);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("reps", args.reps as u64).raw(
+            "widths",
+            &json_array(args.widths.iter().map(usize::to_string)),
+        );
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("native_copies", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.1),
         reps: 3,
@@ -278,82 +246,23 @@ fn parse_args() -> Args {
         out: "BENCH_copies.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = "usage: native_copies [--scale F] [--reps N] [--widths A,B] \
-                 [--tolerance PCT] [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--reps" => {
-                args.reps = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --reps expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--widths" => {
-                args.widths = value(i)
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("error: --widths expects integers\n{usage}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--tolerance" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --tolerance expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.tolerance = v;
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--reps" => args.reps = v.count()?,
+            "--widths" => args.widths = v.counts()?,
+            "--tolerance" => args.tolerance = v.positive()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0)
-        || args.reps == 0
-        || args.widths.is_empty()
-        || args.widths.contains(&0)
-        || args.tolerance <= 0.0
-        || args.tolerance.is_nan()
-    {
-        eprintln!("error: --scale in (0,1]; --reps, --widths, --tolerance positive\n{usage}");
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     println!(
         "native_copies: scale {}, {} reps, widths {:?}, host parallelism {}",
         args.scale.0,
@@ -365,7 +274,7 @@ fn main() {
     let rows: Vec<BenchRow> = BENCHMARK_NAMES
         .iter()
         .map(|name| {
-            let row = dispatch(name, Sweep { args: &args });
+            let row = dispatch(name, &args);
             for p in &row.pairs {
                 println!(
                     "{:<18} w{} copied {:>12} -> {:>12} B ({}) | time x{:.3}{}",
@@ -395,12 +304,7 @@ fn main() {
         .collect();
 
     let gate = Gate::evaluate(&rows, args.tolerance);
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | parity {} | tracker bytes {} | geomean time x{:.3} | brackets {}",
         args.out,
@@ -414,12 +318,10 @@ fn main() {
         if gate.brackets_hold { "hold" } else { "BROKEN" },
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!("OK: cow snapshots change bytes and time, never results");
-        } else {
-            println!("FAIL: snapshot-strategy gate failed");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: cow snapshots change bytes and time, never results",
+        "FAIL: snapshot-strategy gate failed",
+    );
 }

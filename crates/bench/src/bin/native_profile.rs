@@ -3,8 +3,9 @@
 //!
 //! For every paper benchmark this harness:
 //!
-//! * measures the wall-clock overhead of span capture — min-over-`--reps`
-//!   time of a profiled run vs. a counters-only run on the same pool;
+//! * measures the wall-clock overhead of span capture — the median over
+//!   `--reps` interleaved pairs of the profiled / counters-only time
+//!   ratio on the same pool;
 //! * checks that the counters-only telemetry path is byte-identical
 //!   whether or not the profiler rides along (profiling is strictly
 //!   additive);
@@ -16,16 +17,13 @@
 //! non-zero unless every benchmark kept decision/output parity and
 //! counter parity, every shape comparison agreed, and the *median*
 //! capture overhead across benchmarks stayed under `--threshold`
-//! percent. The median (not the max) is gated because min-over-reps on
-//! a time-shared host still carries scheduler noise that can push any
-//! single benchmark's delta around; the median is the robust estimate
-//! of the capture cost itself. The host's parallelism is recorded in
-//! the artifact so readers can judge the numbers.
-//!
-//! Usage: `native_profile [--scale F] [--reps N] [--workers N]
-//! [--seeds K] [--threshold PCT] [--out PATH] [--gate]` — exits 0 on
-//! success, 1 on gate failure, 2 on bad arguments.
+//! percent. The median (not the max) is gated because a time-shared
+//! host still carries scheduler noise that can push any single
+//! benchmark's delta around; the median is the robust estimate of the
+//! capture cost itself. Arguments, exit codes and the report envelope
+//! come from [`stats_bench::harness`].
 
+use stats_bench::harness::{self, json_array};
 use stats_bench::native_attribution::{
     compare_shapes, profile_workload, profiling_overhead_pct, simulated_reference, ProfileReport,
     ShapeComparison,
@@ -33,11 +31,13 @@ use stats_bench::native_attribution::{
 use stats_bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::threaded::run_threaded_on;
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_telemetry::{Counter, Profiler, TelemetrySink};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
-#[derive(Clone)]
+const USAGE: &str = "usage: native_profile [--scale F] [--reps N] [--workers N] [--seeds K] \
+                     [--threshold PCT] [--out PATH] [--gate]";
+
 struct Args {
     scale: Scale,
     reps: usize,
@@ -56,18 +56,22 @@ struct BenchRow {
     counters_unchanged: bool,
 }
 
-struct Sweep<'a> {
-    args: &'a Args,
-}
-
-impl WorkloadVisitor for Sweep<'_> {
+impl WorkloadVisitor for &Args {
     type Output = BenchRow;
     fn visit<W: Workload>(self, w: &W) -> BenchRow {
-        let args = self.args;
+        let args = self;
         let pool = WorkerPool::new(args.workers);
         let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| FIGURE_SEED + i).collect();
 
-        let overhead_pct = profiling_overhead_pct(w, &pool, args.scale, FIGURE_SEED, args.reps);
+        let overhead_pct = profiling_overhead_pct(
+            w,
+            &pool,
+            args.scale,
+            FIGURE_SEED,
+            args.reps,
+            |chunks| Some(TelemetrySink::new(chunks)),
+            |chunks| Some(TelemetrySink::new(chunks).with_profiler(Profiler::new(args.workers))),
+        );
         let report = profile_workload(w, &pool, args.scale, &seeds);
         let (sim, sim_whatifs, sim_base) =
             simulated_reference(w, args.workers, args.scale, FIGURE_SEED);
@@ -145,11 +149,7 @@ impl Gate {
 }
 
 fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
+    let benches = json_array(rows.iter().map(|row| {
         let shares = |groups: &[(stats_telemetry::WallLoss, f64)]| {
             let mut o = JsonObject::new();
             for (l, v) in groups {
@@ -157,12 +157,10 @@ fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
             }
             o.finish()
         };
-        let native = shares(&row.shape.native);
-        let simulated = shares(&row.shape.simulated);
         let mut shape = JsonObject::new();
         shape
-            .raw("native_shares", &native)
-            .raw("simulated_shares", &simulated)
+            .raw("native_shares", &shares(&row.shape.native))
+            .raw("simulated_shares", &shares(&row.shape.simulated))
             .u64("inversions", row.shape.inversions.len() as u64)
             .bool("whatif_directions_agree", row.shape.whatif_directions_agree)
             .bool("agrees", row.shape.agrees());
@@ -171,33 +169,25 @@ fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
             .f64("overhead_pct", row.overhead_pct)
             .bool("counters_unchanged", row.counters_unchanged)
             .raw("shape", &shape.finish());
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .bool("all_parity", gate.all_parity)
-        .bool("all_counters_unchanged", gate.all_counters_unchanged)
-        .bool("all_shapes_agree", gate.all_shapes_agree)
-        .f64("median_overhead_pct", gate.median_overhead_pct)
-        .f64("threshold_pct", gate.threshold_pct)
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "native_profile")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("reps", args.reps as u64)
-        .u64("seeds", args.seeds as u64)
-        .u64("workers", args.workers as u64)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+        o.finish()
+    }));
+    let verdict = |g: &mut JsonObject| {
+        g.bool("all_parity", gate.all_parity)
+            .bool("all_counters_unchanged", gate.all_counters_unchanged)
+            .bool("all_shapes_agree", gate.all_shapes_agree)
+            .f64("median_overhead_pct", gate.median_overhead_pct)
+            .f64("threshold_pct", gate.threshold_pct);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("reps", args.reps as u64)
+            .u64("seeds", args.seeds as u64)
+            .u64("workers", args.workers as u64);
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("native_profile", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.1),
         reps: 3,
@@ -207,83 +197,24 @@ fn parse_args() -> Args {
         out: "BENCH_profile.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = "usage: native_profile [--scale F] [--reps N] [--workers N] [--seeds K] \
-                 [--threshold PCT] [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        let parse_usize = |i: usize, what: &str| -> usize {
-            value(i).parse().unwrap_or_else(|_| {
-                eprintln!("error: {what} expects an integer\n{usage}");
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--reps" => {
-                args.reps = parse_usize(i, "--reps");
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = parse_usize(i, "--workers");
-                i += 2;
-            }
-            "--seeds" => {
-                args.seeds = parse_usize(i, "--seeds");
-                i += 2;
-            }
-            "--threshold" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threshold expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.threshold = v;
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--reps" => args.reps = v.count()?,
+            "--workers" => args.workers = v.count()?,
+            "--seeds" => args.seeds = v.count()?,
+            "--threshold" => args.threshold = v.positive()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0)
-        || args.reps == 0
-        || args.workers == 0
-        || args.seeds == 0
-        || args.threshold <= 0.0
-        || args.threshold.is_nan()
-    {
-        eprintln!(
-            "error: --scale in (0,1]; --reps, --workers, --seeds, --threshold positive\n{usage}"
-        );
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     println!(
         "native_profile: scale {}, {} reps, {} seeds, pool x{}, host parallelism {}",
         args.scale.0,
@@ -297,7 +228,7 @@ fn main() {
         BENCHMARK_NAMES
             .iter()
             .map(|name| {
-                let row = dispatch(name, Sweep { args: &args });
+                let row = dispatch(name, &args);
                 println!(
                 "{:<18} overhead {:>6.2}% | projected {:.2}x ± {:.2} | dominant {} | shape {}{}{}",
                 row.report.benchmark,
@@ -321,12 +252,7 @@ fn main() {
             .collect();
 
     let gate = Gate::evaluate(&rows, args.threshold);
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | median overhead {:.2}% (threshold {:.0}%) | parity {} | counters {} | shapes {}",
         args.out,
@@ -341,12 +267,10 @@ fn main() {
         if gate.all_shapes_agree { "ok" } else { "DISAGREE" },
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!("OK: span capture stays under the overhead budget and changes nothing");
-        } else {
-            println!("FAIL: profiling overhead or parity gate failed");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: span capture stays under the overhead budget and changes nothing",
+        "FAIL: profiling overhead or parity gate failed",
+    );
 }

@@ -25,21 +25,21 @@
 //!   is at most 1 (Touati's paired design; the sweep must then include
 //!   both widths).
 //!
-//! Usage: `native_scaling [--scale F] [--reps N] [--workers 1,2,4,8]
-//! [--out PATH] [--gate]` — exits 0 on success, 1 on gate failure, 2 on
-//! bad arguments.
+//! Arguments, exit codes and the report envelope come from
+//! [`stats_bench::harness`].
 
+use stats_bench::harness::{self, json_array, time_ms, Fingerprint};
 use stats_bench::pipeline::{median, tuned_config, Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::sequential::run_sequential;
 use stats_core::runtime::threaded::run_threaded_on;
 use stats_core::speculation::run_speculative;
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
-// stats-analyzer: allow(ND002): this harness measures real wall-clock scaling
-use std::time::Instant;
 
-#[derive(Clone)]
+const USAGE: &str =
+    "usage: native_scaling [--scale F] [--reps N] [--workers 1,2,4,8] [--out PATH] [--gate]";
+
 struct Args {
     scale: Scale,
     reps: usize,
@@ -89,42 +89,22 @@ impl BenchRow {
     }
 }
 
-/// Wall time of one call, in milliseconds, and its result.
-fn time_ms<T>(run: impl FnOnce() -> T) -> (f64, T) {
-    // stats-analyzer: allow(ND002): scaling measurement harness
-    let t0 = Instant::now();
-    let out = run();
-    (t0.elapsed().as_secs_f64() * 1e3, out)
-}
-
-struct Sweep<'a> {
-    args: &'a Args,
-}
-
-impl WorkloadVisitor for Sweep<'_> {
+impl WorkloadVisitor for &Args {
     type Output = BenchRow;
     fn visit<W: Workload>(self, w: &W) -> BenchRow {
-        let n = self.args.scale.inputs_for(w);
+        let n = self.scale.inputs_for(w);
         let inputs = w.generate_inputs(n, FIGURE_SEED);
-        let cfg = tuned_config(w, 28, self.args.scale); // pre-clamped to n
+        let cfg = tuned_config(w, 28, self.scale); // pre-clamped to n
 
         let semantic = run_speculative(w, &inputs, cfg, FIGURE_SEED);
-        let decisions = semantic.decisions();
-        // Bit-pattern equality: the outputs come from identical update
-        // sequences, so any legitimate match is exact.
-        let quality = w.quality(&inputs, &semantic.outputs).to_bits();
+        let reference = Fingerprint::of(w, &inputs, &semantic.decisions(), &semantic.outputs);
 
-        let pools: Vec<WorkerPool> = self
-            .args
-            .workers
-            .iter()
-            .map(|&n| WorkerPool::new(n))
-            .collect();
+        let pools: Vec<WorkerPool> = self.workers.iter().map(|&n| WorkerPool::new(n)).collect();
         let mut widths: Vec<WidthRow> = pools
             .iter()
             .map(|pool| WidthRow {
                 workers: pool.workers(),
-                samples_ms: Vec::with_capacity(self.args.reps),
+                samples_ms: Vec::with_capacity(self.reps),
                 decisions_match: true,
                 outputs_match: true,
             })
@@ -134,15 +114,15 @@ impl WorkloadVisitor for Sweep<'_> {
         // times the sequential program and then every width once, in an
         // order rotated per rep, so host drift during the sweep spreads
         // over all widths instead of landing on one.
-        for rep in 0..=self.args.reps {
+        for rep in 0..=self.reps {
             let (seq_ms, _) = time_ms(|| run_sequential(w, &inputs, FIGURE_SEED));
             for i in (0..pools.len()).map(|i| (i + rep) % pools.len()) {
                 let (ms, run) =
                     time_ms(|| run_threaded_on(&pools[i], w, &inputs, cfg, FIGURE_SEED, None));
+                let got = Fingerprint::of(w, &inputs, &run.decisions, &run.outputs);
                 let row = &mut widths[i];
-                row.decisions_match &= run.decisions == decisions;
-                row.outputs_match &= run.outputs.len() == semantic.outputs.len()
-                    && w.quality(&inputs, &run.outputs).to_bits() == quality;
+                row.decisions_match &= got.decisions == reference.decisions;
+                row.outputs_match &= got.outputs == reference.outputs;
                 if rep > 0 {
                     row.samples_ms.push(ms);
                 }
@@ -201,25 +181,16 @@ impl Gate {
 }
 
 fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
-        let mut widths = String::from("[");
-        for (j, wr) in row.widths.iter().enumerate() {
-            if j > 0 {
-                widths.push(',');
-            }
+    let benches = json_array(rows.iter().map(|row| {
+        let widths = json_array(row.widths.iter().map(|wr| {
             let mut o = JsonObject::new();
             o.u64("workers", wr.workers as u64)
                 .f64("parallel_ms", wr.min_ms())
                 .f64("speedup_vs_sequential", row.sequential_ms / wr.min_ms())
                 .bool("decisions_match", wr.decisions_match)
                 .bool("outputs_match", wr.outputs_match);
-            widths.push_str(&o.finish());
-        }
-        widths.push(']');
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.str("benchmark", row.benchmark)
             .u64("inputs", row.inputs as u64)
@@ -229,34 +200,22 @@ fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
         if let Some(ratio) = row.w2_over_w1() {
             o.f64("w2_over_w1_median", ratio);
         }
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let failures: Vec<String> = gate
-        .scaling_failures
-        .iter()
-        .map(|b| format!("\"{b}\""))
-        .collect();
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .bool("all_match", gate.all_match)
-        .bool("scaling_checked", gate.scaling_checked)
-        .raw("w2_slower_than_w1", &format!("[{}]", failures.join(",")))
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "native_scaling")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("reps", args.reps as u64)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+        o.finish()
+    }));
+    let failures = json_array(gate.scaling_failures.iter().map(|b| format!("\"{b}\"")));
+    let verdict = |g: &mut JsonObject| {
+        g.bool("all_match", gate.all_match)
+            .bool("scaling_checked", gate.scaling_checked)
+            .raw("w2_slower_than_w1", &failures);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("reps", args.reps as u64);
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("native_scaling", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.25),
         reps: 3,
@@ -264,72 +223,22 @@ fn parse_args() -> Args {
         out: "BENCH_native.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage =
-        "usage: native_scaling [--scale F] [--reps N] [--workers 1,2,4,8] [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--reps" => {
-                args.reps = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --reps expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = value(i)
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("error: --workers expects a comma list like 1,2,4\n{usage}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--reps" => args.reps = v.count()?,
+            "--workers" => args.workers = v.counts()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0)
-        || args.reps == 0
-        || args.workers.is_empty()
-        || args.workers.contains(&0)
-    {
-        eprintln!("error: --scale in (0,1], --reps and all --workers positive\n{usage}");
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     let host_parallelism = default_workers();
     println!(
         "native_scaling: scale {}, {} reps, pool widths {:?}, host parallelism {host_parallelism}",
@@ -339,7 +248,7 @@ fn main() {
     let rows: Vec<BenchRow> = BENCHMARK_NAMES
         .iter()
         .map(|name| {
-            let row = dispatch(name, Sweep { args: &args });
+            let row = dispatch(name, &args);
             println!(
                 "{:<18} {:>6} inputs {:>3} chunks | sequential {:>9.2} ms",
                 row.benchmark, row.inputs, row.chunks, row.sequential_ms
@@ -365,12 +274,7 @@ fn main() {
         .collect();
 
     let gate = Gate::evaluate(&rows, host_parallelism);
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | parity: {} | width 2 vs 1: {}",
         args.out,
@@ -382,14 +286,10 @@ fn main() {
         },
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!(
-                "OK: threaded runs match the semantic layer and width 2 is no slower than width 1"
-            );
-        } else {
-            println!("FAIL: parity broke or width 2 was slower than width 1");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: threaded runs match the semantic layer and width 2 is no slower than width 1",
+        "FAIL: parity broke or width 2 was slower than width 1",
+    );
 }

@@ -1,129 +1,112 @@
-//! Telemetry-overhead smoke check: run swaptions on the threaded runtime
-//! with telemetry off and on, and fail if the instrumented run is more
-//! than `--max-overhead` percent slower.
+//! Telemetry-overhead smoke check: run swaptions on the shared worker
+//! pool with telemetry off and on, and fail if the counters cost more
+//! than `--max-overhead` percent.
 //!
 //! The hot-path recording is a relaxed atomic add on a per-worker shard;
-//! this harness is the regression gate keeping it that cheap. Timing uses
-//! the minimum over `--reps` repetitions — the minimum is the standard
-//! low-noise estimator for a deterministic workload under scheduler
-//! jitter.
-//!
-//! Usage: `telemetry_smoke [--scale F] [--reps N] [--max-overhead PCT]`
-//! Exits 0 when the overhead is within budget, 1 otherwise, 2 on bad args.
+//! this harness is the regression gate keeping it that cheap. The
+//! overhead is the median of paired on/off time ratios
+//! ([`profiling_overhead_pct`]), so host drift lands on both sides.
+//! Arguments and exit codes come from [`stats_bench::harness`].
 
+use stats_bench::harness;
+use stats_bench::native_attribution::profiling_overhead_pct;
 use stats_bench::pipeline::{tuned_config, Scale};
 use stats_core::runtime::pool::WorkerPool;
-use stats_core::runtime::threaded::{run_threaded, run_threaded_on};
-use stats_telemetry::TelemetrySink;
+use stats_core::runtime::threaded::run_threaded_on;
+use stats_telemetry::{Counter, TelemetrySink};
 use stats_workloads::{dispatch, Workload, WorkloadVisitor};
-// stats-analyzer: allow(ND002): this harness measures real wall-clock overhead
-use std::time::Instant;
+
+const USAGE: &str = "usage: telemetry_smoke [--scale F] [--reps N] [--max-overhead PCT]";
 
 const SEED: u64 = 42;
 
-struct Smoke {
+struct Args {
     scale: Scale,
     reps: usize,
     max_overhead: f64,
 }
 
-impl WorkloadVisitor for Smoke {
-    type Output = i32;
-    fn visit<W: Workload>(self, w: &W) -> i32 {
-        let n = self.scale.inputs_for(w);
-        let inputs = w.generate_inputs(n, SEED);
-        let cfg = tuned_config(w, 28, self.scale);
-
-        // Warm up caches, the allocator, and thread spawn paths once.
-        run_threaded(w, &inputs, cfg, SEED);
-
-        let mut base = f64::INFINITY;
-        for _ in 0..self.reps {
-            // stats-analyzer: allow(ND002): overhead measurement harness
-            let t0 = Instant::now();
-            let run = run_threaded(w, &inputs, cfg, SEED);
-            base = base.min(t0.elapsed().as_secs_f64());
-            assert_eq!(run.outputs.len(), n);
-        }
-
-        let mut observed = f64::INFINITY;
-        for _ in 0..self.reps {
-            let sink = TelemetrySink::new(cfg.chunks);
-            // stats-analyzer: allow(ND002): overhead measurement harness
-            let t0 = Instant::now();
-            let run = run_threaded_on(WorkerPool::shared(), w, &inputs, cfg, SEED, Some(&sink));
-            observed = observed.min(t0.elapsed().as_secs_f64());
-            assert_eq!(run.outputs.len(), n);
-            assert!(sink.snapshot().get(stats_telemetry::Counter::ChunksStarted) > 0);
-        }
-
-        let overhead = ((observed - base) / base * 100.0).max(0.0);
+impl WorkloadVisitor for &Args {
+    type Output = f64;
+    fn visit<W: Workload>(self, w: &W) -> f64 {
+        let pool = WorkerPool::shared();
+        let counters = |chunks| Some(TelemetrySink::new(chunks));
+        let overhead =
+            profiling_overhead_pct(w, pool, self.scale, SEED, self.reps, |_| None, counters);
+        // The instrumented side must really record, or the budget would
+        // pass vacuously.
+        let (n, cfg) = (self.scale.inputs_for(w), tuned_config(w, 28, self.scale));
+        let sink = TelemetrySink::new(cfg.chunks);
+        let run = run_threaded_on(pool, w, &w.generate_inputs(n, SEED), cfg, SEED, Some(&sink));
+        assert_eq!(run.outputs.len(), n);
+        assert!(sink.snapshot().get(Counter::ChunksStarted) > 0);
         println!(
-            "benchmark:    {} ({} inputs, {} chunks, {} reps)\n\
-             baseline:     {:.3} ms (min)\n\
-             instrumented: {:.3} ms (min)\n\
-             overhead:     {overhead:.2}% (budget {:.1}%)",
+            "benchmark: {} ({n} inputs, {} chunks, {} paired reps)\n\
+             overhead:  {overhead:.2}% (median paired ratio; budget {:.1}%)",
             w.name(),
-            n,
             cfg.chunks,
             self.reps,
-            base * 1e3,
-            observed * 1e3,
             self.max_overhead,
         );
-        if base * 1e3 < 20.0 {
-            println!("note: baseline under 20 ms; consider a larger --scale for stable numbers");
-        }
-        if overhead > self.max_overhead {
-            println!("FAIL: telemetry overhead exceeds budget");
-            1
-        } else {
-            println!("OK: telemetry overhead within budget");
-            0
-        }
+        overhead
     }
 }
 
-fn main() {
-    let mut scale = Scale(1.0);
-    let mut reps = 5usize;
-    let mut max_overhead = 10.0f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).cloned();
-        let num = |what: &str| -> f64 {
-            value
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: {what} expects a number");
-                    std::process::exit(2);
-                })
-        };
-        match args[i].as_str() {
-            "--scale" => scale = Scale(num("--scale")),
-            "--reps" => reps = num("--reps") as usize,
-            "--max-overhead" => max_overhead = num("--max-overhead"),
-            other => {
-                eprintln!("error: unknown option {other}");
-                eprintln!("usage: telemetry_smoke [--scale F] [--reps N] [--max-overhead PCT]");
-                std::process::exit(2);
-            }
+fn parse(argv: Vec<String>) -> Result<Args, String> {
+    let mut args = Args {
+        scale: Scale(1.0),
+        reps: 5,
+        max_overhead: 10.0,
+    };
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--reps" => args.reps = v.count()?,
+            "--max-overhead" => args.max_overhead = v.positive()?,
+            other => return Err(format!("unknown option {other}")),
         }
-        i += 2;
-    }
-    if !(scale.0 > 0.0 && scale.0 <= 1.0) || reps == 0 {
-        eprintln!("error: --scale must be in (0,1] and --reps positive");
-        std::process::exit(2);
-    }
-    let code = dispatch(
-        "swaptions",
-        Smoke {
-            scale,
-            reps,
-            max_overhead,
-        },
+        Ok(())
+    })?;
+    Ok(args)
+}
+
+fn main() {
+    let args = harness::args_or_exit(USAGE, parse);
+    let overhead = dispatch("swaptions", &args);
+    harness::settle(
+        true,
+        overhead <= args.max_overhead,
+        "OK: telemetry overhead within budget",
+        "FAIL: telemetry overhead exceeds budget",
     );
-    std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn ci_arguments_parse() {
+        let args = parse(argv("--reps 5 --max-overhead 10")).unwrap();
+        assert_eq!((args.reps, args.max_overhead), (5, 10.0));
+    }
+
+    #[test]
+    fn nan_budget_is_rejected() {
+        assert!(parse(argv("--max-overhead nan")).is_err());
+    }
+
+    #[test]
+    fn negative_budget_is_rejected() {
+        assert!(parse(argv("--max-overhead -5")).is_err());
+    }
+
+    #[test]
+    fn fractional_reps_are_rejected() {
+        assert!(parse(argv("--reps 2.7")).is_err());
+    }
 }

@@ -24,19 +24,20 @@
 //! parity plus bounded sharding overhead (geomean ≤ 1.15) and says so —
 //! honest numbers beat fabricated ones.
 //!
-//! Usage: `tune_scaling [--scale F] [--budget N] [--reps N]
-//! [--workers 1,2,4,8] [--out PATH] [--gate]` — exits 0 on success, 1 on
-//! gate failure, 2 on bad arguments.
+//! Arguments, exit codes and the report envelope come from
+//! [`stats_bench::harness`].
 
 use stats_autotuner::{Strategy, Tuner, TuningReport, DEFAULT_BATCH};
+use stats_bench::harness::{self, json_array, time_ms};
 use stats_bench::pipeline::{Scale, FIGURE_SEED};
 use stats_core::runtime::pool::{default_workers, WorkerPool};
 use stats_core::runtime::simulated::SimulatedRuntime;
 use stats_core::DesignSpace;
-use stats_telemetry::json::{validate, JsonObject};
+use stats_telemetry::json::JsonObject;
 use stats_workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
-// stats-analyzer: allow(ND002): this harness measures real wall-clock scaling
-use std::time::Instant;
+
+const USAGE: &str = "usage: tune_scaling [--scale F] [--budget N] [--reps N] \
+                     [--workers 1,2,4,8] [--out PATH] [--gate]";
 
 /// A pool width is eligible for the speedup gate when the budget buys at
 /// least this many full proposal batches (sharding needs rounds to win).
@@ -49,7 +50,6 @@ const GATE_WIDTH: usize = 4;
 /// over a pool the host cannot actually parallelize must stay cheap.
 const NARROW_HOST_OVERHEAD: f64 = 1.15;
 
-#[derive(Clone)]
 struct Args {
     scale: Scale,
     budget: usize,
@@ -80,10 +80,8 @@ fn min_ms<F: FnMut() -> TuningReport>(reps: usize, mut run: F) -> (f64, TuningRe
     let mut best = f64::INFINITY;
     let mut last = run(); // warm-up: caches, allocator, lazy pool state
     for _ in 0..reps {
-        // stats-analyzer: allow(ND002): scaling measurement harness
-        let t0 = Instant::now();
-        last = run();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        let (ms, report) = time_ms(&mut run);
+        (best, last) = (best.min(ms), report);
     }
     (best, last)
 }
@@ -100,18 +98,14 @@ fn reports_match(a: &TuningReport, b: &TuningReport) -> bool {
             .all(|((ca, va), (cb, vb))| ca == cb && va.to_bits() == vb.to_bits())
 }
 
-struct Sweep<'a> {
-    args: &'a Args,
-}
-
-impl WorkloadVisitor for Sweep<'_> {
+impl WorkloadVisitor for &Args {
     type Output = BenchRow;
     fn visit<W: Workload>(self, w: &W) -> BenchRow {
-        let n = self.args.scale.inputs_for(w);
+        let n = self.scale.inputs_for(w);
         let inputs = w.generate_inputs(n, FIGURE_SEED);
         let rt = SimulatedRuntime::paper_machine();
         let space = DesignSpace::for_inputs(n, 28, w.inner_parallelism().is_parallel());
-        let tuner = Tuner::new(space, self.args.budget, FIGURE_SEED);
+        let tuner = Tuner::new(space, self.budget, FIGURE_SEED);
         let objective = |cfg| {
             rt.run(
                 w.name(),
@@ -128,22 +122,21 @@ impl WorkloadVisitor for Sweep<'_> {
         };
 
         let (sequential_ms, baseline) =
-            min_ms(self.args.reps, || tuner.tune(Strategy::Ensemble, objective));
+            min_ms(self.reps, || tuner.tune(Strategy::Ensemble, objective));
 
         let widths = self
-            .args
             .workers
             .iter()
             .map(|&workers| {
                 let pool = WorkerPool::new(workers);
-                let (parallel_ms, report) = min_ms(self.args.reps, || {
+                let (parallel_ms, report) = min_ms(self.reps, || {
                     tuner.tune_parallel_on(&pool, Strategy::Ensemble, objective, None)
                 });
                 WidthRow {
                     workers,
                     parallel_ms,
                     eligible: workers >= GATE_WIDTH
-                        && self.args.budget >= MIN_BATCHES_FOR_GATE * tuner.batch(),
+                        && self.budget >= MIN_BATCHES_FOR_GATE * tuner.batch(),
                     report_matches_sequential: reports_match(&report, &baseline),
                 }
             })
@@ -211,58 +204,41 @@ impl Gate {
 }
 
 fn render_json(args: &Args, rows: &[BenchRow], gate: &Gate) -> String {
-    let mut benches = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            benches.push(',');
-        }
-        let mut widths = String::from("[");
-        for (j, wr) in row.widths.iter().enumerate() {
-            if j > 0 {
-                widths.push(',');
-            }
+    let benches = json_array(rows.iter().map(|row| {
+        let widths = json_array(row.widths.iter().map(|wr| {
             let mut o = JsonObject::new();
             o.u64("workers", wr.workers as u64)
                 .f64("parallel_ms", wr.parallel_ms)
                 .f64("speedup_vs_sequential", row.sequential_ms / wr.parallel_ms)
                 .bool("eligible", wr.eligible)
                 .bool("report_matches_sequential", wr.report_matches_sequential);
-            widths.push_str(&o.finish());
-        }
-        widths.push(']');
+            o.finish()
+        }));
         let mut o = JsonObject::new();
         o.str("benchmark", row.benchmark)
             .u64("inputs", row.inputs as u64)
             .u64("explored", row.explored as u64)
             .f64("sequential_ms", row.sequential_ms)
             .raw("workers", &widths);
-        benches.push_str(&o.finish());
-    }
-    benches.push(']');
-
-    let mut g = JsonObject::new();
-    g.bool("enforced", args.gate)
-        .str("mode", if gate.strict { "strict" } else { "parity-only" })
-        .u64("eligible_rows", gate.eligible_rows as u64)
-        .bool("any_parallel_win", gate.any_parallel_win)
-        .bool("all_match", gate.all_match)
-        .f64("geomean_parallel_over_sequential", gate.geomean_ratio)
-        .bool("pass", gate.pass());
-
-    let mut o = JsonObject::new();
-    o.str("bench", "tune_scaling")
-        .u64("seed", FIGURE_SEED)
-        .f64("scale", args.scale.0)
-        .u64("budget", args.budget as u64)
-        .u64("batch", DEFAULT_BATCH as u64)
-        .u64("reps", args.reps as u64)
-        .u64("host_parallelism", default_workers() as u64)
-        .raw("benchmarks", &benches)
-        .raw("gate", &g.finish());
-    format!("{}\n", o.finish())
+        o.finish()
+    }));
+    let verdict = |g: &mut JsonObject| {
+        g.str("mode", if gate.strict { "strict" } else { "parity-only" })
+            .u64("eligible_rows", gate.eligible_rows as u64)
+            .bool("any_parallel_win", gate.any_parallel_win)
+            .bool("all_match", gate.all_match)
+            .f64("geomean_parallel_over_sequential", gate.geomean_ratio);
+    };
+    let params = |o: &mut JsonObject| {
+        o.u64("budget", args.budget as u64)
+            .u64("batch", DEFAULT_BATCH as u64)
+            .u64("reps", args.reps as u64);
+    };
+    let gate = harness::gate_json(args.gate, verdict, gate.pass());
+    harness::envelope("tune_scaling", args.scale, params, &benches, &gate)
 }
 
-fn parse_args() -> Args {
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale(0.1),
         budget: 80,
@@ -271,80 +247,23 @@ fn parse_args() -> Args {
         out: "BENCH_tune.json".to_string(),
         gate: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = "usage: tune_scaling [--scale F] [--budget N] [--reps N] \
-                 [--workers 1,2,4,8] [--out PATH] [--gate]";
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("error: {} requires a value\n{usage}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                let v: f64 = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --scale expects a number\n{usage}");
-                    std::process::exit(2);
-                });
-                args.scale = Scale(v);
-                i += 2;
-            }
-            "--budget" => {
-                args.budget = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --budget expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--reps" => {
-                args.reps = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --reps expects an integer\n{usage}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = value(i)
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("error: --workers expects a comma list like 1,2,4\n{usage}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--out" => {
-                args.out = value(i);
-                i += 2;
-            }
-            "--gate" => {
-                args.gate = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown option {other}\n{usage}");
-                std::process::exit(2);
-            }
+    harness::parse(argv, |flag, v| {
+        match flag {
+            "--scale" => args.scale = v.scale()?,
+            "--budget" => args.budget = v.count()?,
+            "--reps" => args.reps = v.count()?,
+            "--workers" => args.workers = v.counts()?,
+            "--out" => args.out = v.value()?,
+            "--gate" => args.gate = true,
+            other => return Err(format!("unknown option {other}")),
         }
-    }
-    if !(args.scale.0 > 0.0 && args.scale.0 <= 1.0)
-        || args.budget == 0
-        || args.reps == 0
-        || args.workers.is_empty()
-        || args.workers.contains(&0)
-    {
-        eprintln!("error: --scale in (0,1], --budget, --reps and all --workers positive\n{usage}");
-        std::process::exit(2);
-    }
-    args
+        Ok(())
+    })?;
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = harness::args_or_exit(USAGE, parse);
     println!(
         "tune_scaling: scale {}, budget {}, batch {}, {} reps, pool widths {:?}, host parallelism {}",
         args.scale.0,
@@ -358,7 +277,7 @@ fn main() {
     let rows: Vec<BenchRow> = BENCHMARK_NAMES
         .iter()
         .map(|name| {
-            let row = dispatch(name, Sweep { args: &args });
+            let row = dispatch(name, &args);
             println!(
                 "{:<18} {:>6} inputs {:>3} evals | sequential {:>9.2} ms",
                 row.benchmark, row.inputs, row.explored, row.sequential_ms
@@ -382,12 +301,7 @@ fn main() {
         .collect();
 
     let gate = Gate::evaluate(&rows, default_workers());
-    let json = render_json(&args, &rows, &gate);
-    validate(json.trim()).unwrap_or_else(|e| panic!("generated invalid JSON: {e}"));
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
+    harness::write(&args.out, &render_json(&args, &rows, &gate));
     println!(
         "\nwrote {} | eligible rows: {} | parallel/sequential geomean: {:.3} | parity: {} | gate mode: {}",
         args.out,
@@ -397,12 +311,10 @@ fn main() {
         if gate.strict { "strict" } else { "parity-only" },
     );
 
-    if args.gate {
-        if gate.pass() {
-            println!("OK: parallel tuning holds parity and scaling on this host");
-        } else {
-            println!("FAIL: parallel tuning regressed against sequential (or parity broke)");
-            std::process::exit(1);
-        }
-    }
+    harness::settle(
+        args.gate,
+        gate.pass(),
+        "OK: parallel tuning holds parity and scaling on this host",
+        "FAIL: parallel tuning regressed against sequential (or parity broke)",
+    );
 }

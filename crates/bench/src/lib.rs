@@ -23,6 +23,10 @@
 //! [`scaling`] sweeps input size and core count (§I's headline claims);
 //! [`chaos`] differentially tests the fault-injection plane (recovery
 //! must be observationally invisible — DESIGN.md §15).
+//! The native harness binaries (`native_scaling`, `native_copies`,
+//! `native_breadth`, `native_profile`, `chaos`, `tune_scaling`,
+//! `telemetry_smoke`) share one argument parser, timer, parity
+//! fingerprint and report writer in [`harness`].
 //! The measurement machinery lives in [`attribution`]: the post-mortem
 //! what-if analysis of §V-B ("we emulate the parallel execution removing
 //! only the part of the overhead targeted that is in the critical path",
@@ -39,6 +43,7 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+pub mod harness;
 pub mod native_attribution;
 pub mod pipeline;
 pub mod render;

@@ -284,11 +284,13 @@ pub fn profile_workload_faulted<W: Workload>(
     }
 }
 
-/// Measured profiling overhead in percent: the median over `reps`
-/// interleaved pairs of the profiled / counters-only wall-time ratio on
-/// the same pool (Touati's paired design). Each pair runs back to back,
-/// alternating which side goes first, so host drift over the measurement
-/// lands on both sides instead of biasing one. Negative values mean the
+/// Measured overhead in percent of the `treated` telemetry sink over the
+/// `bare` one: the median over `reps` interleaved pairs of the treated /
+/// bare wall-time ratio on the same pool (Touati's paired design), after
+/// one warm-up pair. Each pair runs back to back, alternating which side
+/// goes first, so host drift over the measurement lands on both sides
+/// instead of biasing one. Each constructor builds the sink (if any) of
+/// one run, given the run's chunk count. Negative values mean the
 /// difference drowned in scheduler noise.
 pub fn profiling_overhead_pct<W: Workload>(
     w: &W,
@@ -296,33 +298,30 @@ pub fn profiling_overhead_pct<W: Workload>(
     scale: Scale,
     seed: u64,
     reps: usize,
+    bare: impl Fn(usize) -> Option<TelemetrySink>,
+    treated: impl Fn(usize) -> Option<TelemetrySink>,
 ) -> f64 {
     let n = scale.inputs_for(w);
     let inputs = w.generate_inputs(n, seed);
     let cfg = tuned_config(w, 28, scale);
-    let run_ns = |profiled: bool| -> f64 {
-        let sink = TelemetrySink::new(cfg.chunks.max(1));
-        let sink = if profiled {
-            sink.with_profiler(Profiler::new(pool.workers()))
-        } else {
-            sink
-        };
-        let run = run_threaded_on(pool, w, &inputs, cfg, seed, Some(&sink));
+    let run_ns = |sink: &dyn Fn(usize) -> Option<TelemetrySink>| -> f64 {
+        let sink = sink(cfg.chunks.max(1));
+        let run = run_threaded_on(pool, w, &inputs, cfg, seed, sink.as_ref());
         run.elapsed.as_nanos() as f64
     };
     // Warm-up pair: caches, allocator, pool wake-up paths.
-    run_ns(false);
-    run_ns(true);
+    run_ns(&bare);
+    run_ns(&treated);
     let ratios = (0..reps.max(1))
         .map(|r| {
-            let (bare, prof) = if r % 2 == 0 {
-                let bare = run_ns(false);
-                (bare, run_ns(true))
+            let (base, treat) = if r % 2 == 0 {
+                let base = run_ns(&bare);
+                (base, run_ns(&treated))
             } else {
-                let prof = run_ns(true);
-                (run_ns(false), prof)
+                let treat = run_ns(&treated);
+                (run_ns(&bare), treat)
             };
-            prof / bare
+            treat / base
         })
         .collect();
     (median(ratios) - 1.0) * 100.0

@@ -1787,4 +1787,122 @@ mod tests {
                 .unwrap_or_else(|e| panic!("invalid event line: {e}\n{line}"));
         }
     }
+
+    const SUBCOMMANDS: &[&str] = &[
+        "run",
+        "characterize",
+        "tune",
+        "metrics",
+        "profile",
+        "figures",
+        "export",
+        "help",
+        "--help",
+        "-h",
+    ];
+
+    const FLAGS: &[&str] = &[
+        "--scale",
+        "--seed",
+        "--chunks",
+        "--lookback",
+        "--extra-states",
+        "--budget",
+        "--telemetry",
+        "--workers",
+        "--json",
+        "--profile",
+        "--snapshot",
+        "--breadth",
+        "--overlap-rerun",
+        "--faults",
+        "--seeds",
+        "--format",
+        "--bogus",
+    ];
+
+    /// Benchmark names, flag values, and numbers at and past the edges
+    /// of what each flag accepts.
+    const VALUES: &[&str] = &[
+        "swaptions",
+        "bodytrack",
+        "facetrack",
+        "fig09",
+        "deep",
+        "cow",
+        "table",
+        "json",
+        "chrome",
+        "3@7",
+        "0@1",
+        "0",
+        "1",
+        "0.5",
+        "2",
+        "-1",
+        "nan",
+        "inf",
+        "1e309",
+        "18446744073709551616",
+        "",
+        "--",
+    ];
+
+    /// An argv of a subcommand, a positional, then flags (most with a
+    /// value), each word sometimes replaced by an arbitrary (lossily
+    /// decoded) byte string.
+    fn argv() -> impl proptest::strategy::Strategy<Value = Vec<String>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(any::<u64>(), 0..8).prop_map(|picks| {
+            let pick =
+                |table: &[&str], p: u64| match table.get((p % (table.len() as u64 + 2)) as usize) {
+                    Some(word) => word.to_string(),
+                    None => String::from_utf8_lossy(&p.to_le_bytes()[..(p >> 61) as usize]).into(),
+                };
+            let mut argv = Vec::new();
+            for (i, p) in picks.into_iter().enumerate() {
+                match i {
+                    0 => argv.push(pick(SUBCOMMANDS, p)),
+                    1 => argv.push(pick(VALUES, p)),
+                    _ => {
+                        argv.push(pick(FLAGS, p));
+                        if p % 4 != 0 {
+                            argv.push(pick(VALUES, p >> 8));
+                        }
+                    }
+                }
+            }
+            argv
+        })
+    }
+
+    fn options(cmd: &Command) -> Option<&Options> {
+        match cmd {
+            Command::Run { opts, .. }
+            | Command::Characterize { opts, .. }
+            | Command::Tune { opts, .. }
+            | Command::Figures { opts, .. }
+            | Command::Metrics { opts, .. }
+            | Command::Export { opts, .. }
+            | Command::Profile { opts, .. } => Some(opts),
+            Command::Help => None,
+        }
+    }
+
+    proptest::proptest! {
+        // Parsing is cheap, and a rejected value only shows once its whole
+        // argv parses, so the case count is high.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16384))]
+
+        #[test]
+        fn parse_never_panics_and_accepts_only_valid_options(argv in argv()) {
+            // The property is the call returning at all; a panic fails it.
+            let parsed = parse(&argv);
+            if let Some(opts) = parsed.as_ref().ok().and_then(options) {
+                proptest::prop_assert!(opts.scale.0 > 0.0 && opts.scale.0 <= 1.0, "{:?}", argv);
+                proptest::prop_assert!(opts.workers != Some(0) && opts.breadth != Some(0));
+                proptest::prop_assert!(opts.faults.is_none_or(|f| f.count > 0));
+            }
+        }
+    }
 }

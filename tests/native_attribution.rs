@@ -22,7 +22,7 @@
 //!   commit/abort decisions and outputs are bit-identical to an
 //!   unprofiled run (nondeterminism comes from seeds, never from
 //!   timestamps);
-//! * **bounded overhead** — the median min-over-reps capture overhead
+//! * **bounded overhead** — the median paired-ratio capture overhead
 //!   across the suite stays under 10%. The median, not the per-benchmark
 //!   maximum, is gated: on a time-shared host (CI runs on whatever it
 //!   gets, including single-core containers) any individual benchmark's
@@ -36,6 +36,7 @@ use stats_workbench::bench::native_attribution::{
 use stats_workbench::bench::pipeline::{tuned_config, Scale, FIGURE_SEED};
 use stats_workbench::core::runtime::pool::WorkerPool;
 use stats_workbench::core::SnapshotStrategy;
+use stats_workbench::telemetry::{Profiler, TelemetrySink};
 use stats_workbench::workloads::{dispatch, Workload, WorkloadVisitor, BENCHMARK_NAMES};
 
 const SCALE: Scale = Scale(0.08);
@@ -65,7 +66,15 @@ impl WorkloadVisitor for Keystone {
         let report = profile_workload(w, &pool, SCALE, &seeds);
         let (sim, sim_whatifs, sim_base) = simulated_reference(w, WORKERS, SCALE, FIGURE_SEED);
         let cmp = compare_shapes(&report, &sim, &sim_whatifs, sim_base);
-        let overhead_pct = profiling_overhead_pct(w, &pool, SCALE, FIGURE_SEED, OVERHEAD_REPS);
+        let overhead_pct = profiling_overhead_pct(
+            w,
+            &pool,
+            SCALE,
+            FIGURE_SEED,
+            OVERHEAD_REPS,
+            |chunks| Some(TelemetrySink::new(chunks)),
+            |chunks| Some(TelemetrySink::new(chunks).with_profiler(Profiler::new(WORKERS))),
+        );
         PerBench {
             name: w.name(),
             parity: report.parity,
