@@ -3,13 +3,13 @@
 //! proposed evolution), and the speculation parameters k / m / chunk
 //! count whose trade-offs drive the autotuner (§II-B, §III-E).
 
-use crate::pipeline::{clamp_config, tuned_config, Scale, FIGURE_SEED};
+use crate::pipeline::{clamp_config, speedup_of, tuned_config, Scale, FIGURE_SEED};
 use crate::render::{f2, pct, TextTable};
 use serde::{Deserialize, Serialize};
 use stats_core::plan_weighted;
 use stats_core::runtime::sequential::run_sequential;
-use stats_core::runtime::simulated::{GraphOptions, SimulatedRuntime};
-use stats_core::speculation::{run_speculative, run_speculative_planned};
+use stats_core::runtime::simulated::{sequential_baseline, GraphOptions, SimulatedRuntime};
+use stats_core::speculation::{run_speculative, run_speculative_planned, SpeculationOutcome};
 use stats_core::Config;
 use stats_platform::{CostModel, Machine, Topology};
 use stats_trace::Cycles;
@@ -77,25 +77,37 @@ fn machine_with_copy_acceleration(factor: u64) -> Machine {
     Machine::new(Topology::paper_machine(), cm)
 }
 
+/// The graph options [`SimulatedRuntime::run`] lowers a workload with.
+fn graph_options<W: Workload>(w: &W, lazy_replicas: bool) -> GraphOptions {
+    GraphOptions {
+        inner: w.inner_parallelism(),
+        assume_all_commit: false,
+        outside_work: w.outside_region_work(),
+        sync_ops_per_update: w.sync_ops_per_update(),
+        lazy_replicas,
+    }
+}
+
 fn run_speedup<W: Workload>(w: &W, machine: &Machine, config: Config, scale: Scale) -> SweepPoint {
     let rt = SimulatedRuntime::new(machine.clone());
     let n = scale.inputs_for(w);
     let inputs = w.generate_inputs(n, FIGURE_SEED);
+    let outcome = run_speculative(w, &inputs, config, FIGURE_SEED);
+    let commit_rate = outcome.commit_rate();
     let report = rt
-        .run(
+        .run_from_outcome(
             w.name(),
             w,
             &inputs,
-            config,
-            w.inner_parallelism(),
+            outcome,
+            graph_options(w, false),
             FIGURE_SEED,
         )
         .expect("valid config");
-    let outcome = run_speculative(w, &inputs, config, FIGURE_SEED);
     SweepPoint {
         x: 0.0,
         speedup: report.speedup(),
-        commit_rate: outcome.commit_rate(),
+        commit_rate,
     }
 }
 
@@ -271,7 +283,15 @@ pub struct PlanStats {
     pub work_imbalance: f64,
 }
 
-fn plan_stats<O>(outcome: &stats_core::SpeculationOutcome<O>, speedup: f64) -> PlanStats {
+/// Statistics of `outcome`, its speedup measured on `machine` against
+/// the precomputed sequential `seq_cycles`.
+fn plan_stats<O>(
+    name: &str,
+    outcome: &SpeculationOutcome<O>,
+    machine: &Machine,
+    opts: &GraphOptions,
+    seq_cycles: Cycles,
+) -> PlanStats {
     let works: Vec<f64> = outcome
         .chunks
         .iter()
@@ -281,7 +301,7 @@ fn plan_stats<O>(outcome: &stats_core::SpeculationOutcome<O>, speedup: f64) -> P
     let max = works.iter().fold(0.0f64, |a, b| a.max(*b));
     let min = works.iter().fold(f64::INFINITY, |a, b| a.min(*b));
     PlanStats {
-        speedup,
+        speedup: speedup_of(name, outcome, machine, opts, seq_cycles),
         commit_rate: outcome.commit_rate(),
         work_imbalance: if mean > 0.0 { (max - min) / mean } else { 0.0 },
     }
@@ -310,28 +330,19 @@ pub fn plan_ablation(name: &str, scale: Scale) -> (PlanStats, PlanStats) {
             let cfg = tuned_config(w, 28, self.scale);
             let n = self.scale.inputs_for(w);
             let inputs = w.generate_inputs(n, FIGURE_SEED);
-            let rt = SimulatedRuntime::new(machine.clone());
-            let opts = GraphOptions {
-                inner: w.inner_parallelism(),
-                assume_all_commit: false,
-                outside_work: w.outside_region_work(),
-                sync_ops_per_update: w.sync_ops_per_update(),
-                lazy_replicas: false,
-            };
+            let opts = graph_options(w, false);
+            // Both plans run the same stream, so they share one baseline.
+            let (seq_cycles, _) =
+                sequential_baseline(w, &inputs, FIGURE_SEED, &machine, opts.outside_work);
 
             // Balanced plan (the default).
-            let balanced_outcome = run_speculative(w, &inputs, cfg, FIGURE_SEED);
-            let balanced_run = rt
-                .run_from_outcome(
-                    w.name(),
-                    w,
-                    &inputs,
-                    run_speculative(w, &inputs, cfg, FIGURE_SEED),
-                    opts,
-                    FIGURE_SEED,
-                )
-                .expect("valid");
-            let balanced = plan_stats(&balanced_outcome, balanced_run.speedup());
+            let balanced = plan_stats(
+                w.name(),
+                &run_speculative(w, &inputs, cfg, FIGURE_SEED),
+                &machine,
+                &opts,
+                seq_cycles,
+            );
 
             // Weighted plan: the autotuner's profiler pass measures
             // per-input costs. The costs are nondeterministic (facedet's
@@ -356,19 +367,13 @@ pub fn plan_ablation(name: &str, scale: Scale) -> (PlanStats, PlanStats) {
             {
                 plan = stats_core::plan_balanced(n, cfg.chunks);
             }
-            let weighted_outcome =
-                run_speculative_planned(w, &inputs, cfg, plan.clone(), FIGURE_SEED);
-            let weighted_run = rt
-                .run_from_outcome(
-                    w.name(),
-                    w,
-                    &inputs,
-                    run_speculative_planned(w, &inputs, cfg, plan, FIGURE_SEED),
-                    opts,
-                    FIGURE_SEED,
-                )
-                .expect("valid");
-            let weighted = plan_stats(&weighted_outcome, weighted_run.speedup());
+            let weighted = plan_stats(
+                w.name(),
+                &run_speculative_planned(w, &inputs, cfg, plan, FIGURE_SEED),
+                &machine,
+                &opts,
+                seq_cycles,
+            );
 
             (balanced, weighted)
         }
@@ -392,27 +397,23 @@ pub fn replication_ablation(name: &str, scale: Scale) -> (SweepPoint, SweepPoint
             let cfg = tuned_config(w, 28, self.scale);
             let n = self.scale.inputs_for(w);
             let inputs = w.generate_inputs(n, FIGURE_SEED);
-            let rt = SimulatedRuntime::new(machine.clone());
-            let run = |lazy: bool| {
-                let opts = GraphOptions {
-                    inner: w.inner_parallelism(),
-                    assume_all_commit: false,
-                    outside_work: w.outside_region_work(),
-                    sync_ops_per_update: w.sync_ops_per_update(),
-                    lazy_replicas: lazy,
-                };
-                let outcome = run_speculative(w, &inputs, cfg, FIGURE_SEED);
-                let commit = outcome.commit_rate();
-                let report = rt
-                    .run_from_outcome(w.name(), w, &inputs, outcome, opts, FIGURE_SEED)
-                    .expect("valid");
-                SweepPoint {
-                    x: if lazy { 1.0 } else { 0.0 },
-                    speedup: report.speedup(),
-                    commit_rate: commit,
-                }
+            // Replication only changes the lowering: one outcome and one
+            // baseline serve both graphs.
+            let outcome = run_speculative(w, &inputs, cfg, FIGURE_SEED);
+            let (seq_cycles, _) =
+                sequential_baseline(w, &inputs, FIGURE_SEED, &machine, w.outside_region_work());
+            let point = |lazy: bool| SweepPoint {
+                x: if lazy { 1.0 } else { 0.0 },
+                speedup: speedup_of(
+                    w.name(),
+                    &outcome,
+                    &machine,
+                    &graph_options(w, lazy),
+                    seq_cycles,
+                ),
+                commit_rate: outcome.commit_rate(),
             };
-            (run(false), run(true))
+            (point(false), point(true))
         }
     }
     dispatch(name, V { scale })

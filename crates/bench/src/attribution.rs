@@ -19,8 +19,8 @@
 
 use crate::pipeline::{clamp_config, Scale};
 use serde::{Deserialize, Serialize};
-use stats_core::runtime::sequential::run_sequential;
-use stats_core::runtime::simulated::{build_task_graph, GraphOptions};
+use stats_core::runtime::pool::WorkerPool;
+use stats_core::runtime::simulated::{build_task_graph, sequential_baseline, GraphOptions};
 use stats_core::speculation::run_speculative;
 use stats_core::Config;
 use stats_platform::Machine;
@@ -210,7 +210,6 @@ pub fn attribute<W: Workload>(
 ) -> LossBreakdown {
     let n = scale.inputs_for(workload);
     let inputs = workload.generate_inputs(n, seed);
-    let outcome = run_speculative(workload, &inputs, config, seed);
     let opts = GraphOptions {
         inner: workload.inner_parallelism(),
         assume_all_commit: false,
@@ -218,10 +217,10 @@ pub fn attribute<W: Workload>(
         sync_ops_per_update: workload.sync_ops_per_update(),
         lazy_replicas: false,
     };
-
-    let seq = run_sequential(workload, &inputs, seed);
-    let outside = opts.outside_work.0 + opts.outside_work.1;
-    let seq_cycles = machine.cost_model().work(seq.cost.work + outside);
+    let (outcome, (seq_cycles, _)) = WorkerPool::shared().join(
+        || run_speculative(workload, &inputs, config, seed),
+        || sequential_baseline(workload, &inputs, seed, machine, opts.outside_work),
+    );
 
     let base_graph = build_task_graph(workload.name(), &outcome, machine, &opts);
     let base = machine.execute(&base_graph).expect("acyclic");

@@ -167,7 +167,10 @@ impl<'w, W: StateDependence> Stats<'w, W> {
         &self,
         inputs: &[W::Input],
         seed: u64,
-    ) -> Result<RunReport<W::Output>, StatsError> {
+    ) -> Result<RunReport<W::Output>, StatsError>
+    where
+        W: Sync,
+    {
         self.config.validate(inputs.len())?;
         SimulatedRuntime::new(self.machine.clone())
             .run(

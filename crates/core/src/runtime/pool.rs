@@ -36,6 +36,12 @@
 //! waiting happens on the coordinator thread (which is *not* a pool
 //! worker).
 //!
+//! [`WorkerPool::join`] is the one exception, and it is safe anywhere:
+//! it only ever waits on a task a worker has already *started*. A queued
+//! half that no worker picked up is taken back and run by the caller, so
+//! a join nested in a pool task, on a 1-worker pool or a saturated one,
+//! degrades to running both halves in turn instead of deadlocking.
+//!
 //! # Failure semantics
 //!
 //! A panicking task **poisons its scope**: the first panic payload is
@@ -229,6 +235,121 @@ impl WorkerPool {
         match result {
             Ok(r) => r,
             Err(payload) => resume_unwind(payload),
+        }
+    }
+
+    /// Run `a` on the calling thread while `b` is offered to the pool,
+    /// and return both results.
+    ///
+    /// `b` is queued on the normal lane. If no worker has started it by
+    /// the time `a` returns, the caller takes it back and runs it inline
+    /// ("steal-back"); the caller only ever waits on a `b` a worker is
+    /// already running. So `join` never blocks on queued work: it is safe
+    /// inside a task of the same pool (even a 1-worker one) and on a
+    /// saturated pool, where it runs `a` then `b` on the caller.
+    ///
+    /// # Panics
+    ///
+    /// Once both halves have finished, re-raises the original payload of
+    /// a panic in `a`, else of one in `b`. The pool stays usable.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        let result_b = Mutex::new(None);
+        let task: Box<dyn FnOnce() + Send + '_> = Box::new(|| {
+            let r = catch_unwind(AssertUnwindSafe(b));
+            *result_b.lock().expect("join mutex") = Some(r);
+        });
+        // SAFETY: `task` borrows `b`'s environment and `result_b`. It only
+        // ever runs through `JoinSlot::run_if_unclaimed`, and this function
+        // does not return (or unwind: `a` runs under `catch_unwind`) before
+        // `wait_done` observes the slot `Done` — either the caller ran the
+        // task itself or a worker finished it. The claim job left behind
+        // in the queue holds only the emptied slot.
+        let task: Job = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(task)
+        };
+        let slot = Arc::new(JoinSlot {
+            state: Mutex::new(JoinState::Queued(task)),
+            done: Condvar::new(),
+        });
+        let claim = Arc::clone(&slot);
+        self.push(
+            Box::new(move || {
+                claim.run_if_unclaimed();
+            }),
+            false,
+        );
+        let result_a = catch_unwind(AssertUnwindSafe(a));
+        slot.run_if_unclaimed();
+        slot.wait_done();
+        let result_b = result_b
+            .into_inner()
+            .expect("join mutex")
+            .expect("a finished join task stored its result");
+        match (result_a, result_b) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+        }
+    }
+
+    /// Make `job` visible to the workers, on the urgent or normal lane.
+    fn push(&self, job: Job, urgent: bool) {
+        {
+            let mut q = self.shared.queue.lock().expect("pool mutex");
+            if urgent {
+                q.urgent.push_back(job);
+            } else {
+                q.jobs.push_back(job);
+            }
+        }
+        self.shared.work_ready.notify_one();
+    }
+}
+
+/// The hand-off point of one [`WorkerPool::join`]: whichever thread
+/// claims the queued half first — a worker or the joining caller — runs
+/// it; the caller waits only once it has been claimed.
+struct JoinSlot {
+    state: Mutex<JoinState>,
+    done: Condvar,
+}
+
+enum JoinState {
+    /// Not started; holds the type-erased half.
+    Queued(Job),
+    Running,
+    Done,
+}
+
+impl JoinSlot {
+    /// Run the queued half on this thread unless another thread has
+    /// already claimed it. The half catches its own panics, so the slot
+    /// always reaches `Done` once claimed.
+    fn run_if_unclaimed(&self) {
+        let task = {
+            let mut state = self.state.lock().expect("join mutex");
+            match std::mem::replace(&mut *state, JoinState::Running) {
+                JoinState::Queued(task) => task,
+                claimed => {
+                    *state = claimed;
+                    return;
+                }
+            }
+        };
+        // stats-analyzer: allow(ND011): the joined half is the caller's closure; determinism is enforced where `join` is called, not in the hand-off
+        task();
+        *self.state.lock().expect("join mutex") = JoinState::Done;
+        self.done.notify_all();
+    }
+
+    fn wait_done(&self) {
+        let mut state = self.state.lock().expect("join mutex");
+        while !matches!(*state, JoinState::Done) {
+            state = self.done.wait(state).expect("join mutex");
         }
     }
 }
@@ -434,15 +555,7 @@ impl<'scope> PoolScope<'scope, '_> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
         };
-        {
-            let mut q = self.pool.shared.queue.lock().expect("pool mutex");
-            if urgent {
-                q.urgent.push_back(job);
-            } else {
-                q.jobs.push_back(job);
-            }
-        }
-        self.pool.shared.work_ready.notify_one();
+        self.pool.push(job, urgent);
     }
 }
 
@@ -721,6 +834,98 @@ mod tests {
             });
             assert_eq!(ok.load(Ordering::Relaxed), 4);
         }
+    }
+
+    #[test]
+    fn join_returns_results_in_order_and_runs_b_once() {
+        let pool = WorkerPool::new(2);
+        let b_runs = AtomicUsize::new(0);
+        for i in 0..200u64 {
+            let (a, b) = pool.join(
+                || i * 2,
+                || {
+                    b_runs.fetch_add(1, Ordering::Relaxed);
+                    format!("b{i}")
+                },
+            );
+            assert_eq!((a, b), (i * 2, format!("b{i}")));
+        }
+        assert_eq!(b_runs.load(Ordering::Relaxed), 200);
+    }
+
+    #[test]
+    fn join_inside_a_task_of_a_one_worker_pool_steals_back() {
+        // The only worker is busy running the task that joins, so no
+        // worker can ever start `b`: the caller must take it back and run
+        // it on its own thread rather than wait on the queue.
+        let pool = WorkerPool::new(1);
+        let seen = Mutex::new(None);
+        pool.scope(|scope| {
+            scope.spawn(|| {
+                let me = std::thread::current().id();
+                let (a, b) = pool.join(|| 3, || (4, std::thread::current().id()));
+                *seen.lock().unwrap() = Some((a, b.0, b.1 == me));
+            });
+        });
+        assert_eq!(*seen.lock().unwrap(), Some((3, 4, true)));
+    }
+
+    #[test]
+    fn more_joiners_than_workers_all_complete() {
+        // Eight pool tasks and four outside threads join on a 2-worker
+        // pool, each nesting a second join inside `b`. The workers are
+        // joiners themselves, so no join can count on a free worker to
+        // start its `b`.
+        let pool = WorkerPool::new(2);
+        let done = AtomicUsize::new(0);
+        let joined = |i: usize| {
+            let (a, (b, c)) = pool.join(|| i, || pool.join(|| i + 1, || i + 2));
+            assert_eq!((a, b, c), (i, i + 1, i + 2));
+            done.fetch_add(1, Ordering::Relaxed);
+        };
+        std::thread::scope(|threads| {
+            for i in 0..4 {
+                threads.spawn(move || joined(100 + i));
+            }
+            pool.scope(|scope| {
+                for i in 0..8 {
+                    scope.spawn(move || joined(i));
+                }
+            });
+        });
+        assert_eq!(done.load(Ordering::Relaxed), 12);
+    }
+
+    #[test]
+    fn join_reraises_each_halfs_own_payload_and_pool_survives() {
+        let pool = WorkerPool::new(1);
+        let b_ran = AtomicUsize::new(0);
+        let a_panics = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.join(
+                || panic!("a boom"),
+                || {
+                    b_ran.fetch_add(1, Ordering::Relaxed);
+                },
+            )
+        }));
+        let payload = a_panics.expect_err("a's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a boom"));
+        assert_eq!(b_ran.load(Ordering::Relaxed), 1, "b still finishes");
+
+        let b_panics =
+            std::panic::catch_unwind(AssertUnwindSafe(|| pool.join(|| 1, || panic!("b boom"))));
+        let payload = b_panics.expect_err("b's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"b boom"));
+
+        // The pool runs later work, through both entry points.
+        assert_eq!(pool.join(|| 5, || 6), (5, 6));
+        let hits = AtomicUsize::new(0);
+        pool.scope(|scope| {
+            scope.spawn(|| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 
     /// A doomed worker exits shortly *after* its job finishes; give the

@@ -12,6 +12,7 @@ use crate::dependence::StateDependence;
 use crate::fault::FaultPlan;
 use crate::planner::plan_balanced;
 use crate::report::{ChunkDecision, ResourceAccounting, RunReport};
+use crate::runtime::pool::WorkerPool;
 use crate::runtime::sequential::run_sequential;
 use crate::speculation::{run_speculative, SpeculationOutcome};
 use crate::tlp::InnerParallelism;
@@ -700,6 +701,27 @@ fn record_outcome_telemetry<O>(outcome: &SpeculationOutcome<O>, t: &TelemetrySin
     });
 }
 
+/// The sequential baseline every speedup is measured against:
+/// `run_sequential` under the same master seed (so nondeterministic
+/// per-run costs are honestly sampled) plus the program's work outside the
+/// STATS region, as `(cycles on machine, instructions)`. Each outside work
+/// unit counts two instructions.
+pub fn sequential_baseline<W: StateDependence>(
+    workload: &W,
+    inputs: &[W::Input],
+    master_seed: u64,
+    machine: &Machine,
+    outside_work: (u64, u64),
+) -> (Cycles, u64) {
+    let run = run_sequential(workload, inputs, master_seed);
+    (
+        machine
+            .cost_model()
+            .work(run.total_work_with_outside(outside_work)),
+        run.cost.instructions + (outside_work.0 + outside_work.1) * 2,
+    )
+}
+
 /// The simulated STATS runtime: a machine plus the lowering logic.
 #[derive(Debug, Clone)]
 pub struct SimulatedRuntime {
@@ -733,7 +755,7 @@ impl SimulatedRuntime {
     /// # Panics
     ///
     /// Panics if `config` is invalid for `inputs.len()`.
-    pub fn run<W: StateDependence>(
+    pub fn run<W: StateDependence + Sync>(
         &self,
         name: &str,
         workload: &W,
@@ -746,6 +768,15 @@ impl SimulatedRuntime {
     }
 
     /// [`SimulatedRuntime::run`] with live telemetry.
+    ///
+    /// The semantic run (`run_speculative`) and the sequential baseline
+    /// ([`sequential_baseline`]) are independent — each draws from its own
+    /// derived stream — so the baseline is offered to
+    /// [`WorkerPool::shared`] through [`WorkerPool::join`] while the
+    /// semantic run proceeds on the caller. `join` never waits on a
+    /// baseline no worker has started, so this is safe from inside pool
+    /// tasks too (e.g. sharded autotuner evaluations); the report is the
+    /// one [`SimulatedRuntime::run_from_outcome`] builds inline.
     ///
     /// The sink receives the same protocol counters a threaded run records
     /// (derived from the semantic outcome), per-category span accounting
@@ -761,7 +792,7 @@ impl SimulatedRuntime {
     ///
     /// Panics if `config` is invalid for `inputs.len()`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_observed<W: StateDependence>(
+    pub fn run_observed<W: StateDependence + Sync>(
         &self,
         name: &str,
         workload: &W,
@@ -771,7 +802,6 @@ impl SimulatedRuntime {
         master_seed: u64,
         telemetry: Option<&TelemetrySink>,
     ) -> Result<RunReport<W::Output>, SimError> {
-        let outcome = run_speculative(workload, inputs, config, master_seed);
         let opts = GraphOptions {
             inner,
             assume_all_commit: false,
@@ -779,15 +809,19 @@ impl SimulatedRuntime {
             sync_ops_per_update: workload.sync_ops_per_update(),
             lazy_replicas: false,
         };
-        self.run_from_outcome_observed(
-            name,
-            workload,
-            inputs,
-            outcome,
-            opts,
-            master_seed,
-            telemetry,
-        )
+        let (outcome, baseline) = WorkerPool::shared().join(
+            || run_speculative(workload, inputs, config, master_seed),
+            || {
+                sequential_baseline(
+                    workload,
+                    inputs,
+                    master_seed,
+                    &self.machine,
+                    opts.outside_work,
+                )
+            },
+        );
+        self.lower(name, outcome, &opts, baseline, telemetry)
     }
 
     /// [`SimulatedRuntime::run_observed`] under a fault plan.
@@ -809,7 +843,7 @@ impl SimulatedRuntime {
     ///
     /// Panics if `config` is invalid for `inputs.len()`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_observed_faulted<W: StateDependence>(
+    pub fn run_observed_faulted<W: StateDependence + Sync>(
         &self,
         name: &str,
         workload: &W,
@@ -840,7 +874,9 @@ impl SimulatedRuntime {
     /// Lower and execute a precomputed outcome (lets callers reuse one
     /// semantic run across several what-if graphs). `inputs` must be the
     /// same stream the outcome was computed from: it is re-run sequentially
-    /// to establish the baseline.
+    /// on the calling thread ([`sequential_baseline`]) to establish the
+    /// baseline. For the same arguments the report equals
+    /// [`SimulatedRuntime::run`]'s, which overlaps the two runs instead.
     pub fn run_from_outcome<W: StateDependence>(
         &self,
         name: &str,
@@ -866,7 +902,27 @@ impl SimulatedRuntime {
         master_seed: u64,
         telemetry: Option<&TelemetrySink>,
     ) -> Result<RunReport<W::Output>, SimError> {
-        let graph = build_task_graph_observed(name, &outcome, &self.machine, &opts, telemetry);
+        let baseline = sequential_baseline(
+            workload,
+            inputs,
+            master_seed,
+            &self.machine,
+            opts.outside_work,
+        );
+        self.lower(name, outcome, &opts, baseline, telemetry)
+    }
+
+    /// Lower `outcome` to a task graph, execute it, and assemble the
+    /// report around the precomputed `(cycles, instructions)` baseline.
+    fn lower<O>(
+        &self,
+        name: &str,
+        outcome: SpeculationOutcome<O>,
+        opts: &GraphOptions,
+        (sequential_cycles, sequential_instructions): (Cycles, u64),
+        telemetry: Option<&TelemetrySink>,
+    ) -> Result<RunReport<O>, SimError> {
+        let graph = build_task_graph_observed(name, &outcome, &self.machine, opts, telemetry);
         let execution = self.machine.execute(&graph)?;
         if let Some(t) = telemetry {
             record_outcome_telemetry(&outcome, t);
@@ -883,17 +939,6 @@ impl SimulatedRuntime {
             t.add(0, Counter::IdleTime, lifetime.saturating_sub(busy));
             t.flush();
         }
-        let cm = self.machine.cost_model();
-        let (seq_cycles, seq_instr) = {
-            // The sequential baseline with the same master seed, so
-            // nondeterministic per-run costs are honestly sampled.
-            let run = run_sequential(workload, inputs, master_seed);
-            let outside = opts.outside_work.0 + opts.outside_work.1;
-            (
-                cm.work(run.cost.work + outside),
-                run.cost.instructions + outside * 2,
-            )
-        };
         let width = effective_width(
             &outcome.config,
             &opts.inner,
@@ -906,8 +951,8 @@ impl SimulatedRuntime {
             outputs: outcome.outputs,
             decisions,
             execution,
-            sequential_cycles: seq_cycles,
-            sequential_instructions: seq_instr,
+            sequential_cycles,
+            sequential_instructions,
             config: outcome.config,
             accounting,
         })
